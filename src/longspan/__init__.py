@@ -13,7 +13,6 @@ and the batch CLI (:mod:`longspan.cli`).
 from . import errors
 from .attention import (
     FULL,
-    AttentionConfig,
     AttentionMap,
     ToyModelConfig,
     ToySeq2Seq,
@@ -58,7 +57,7 @@ __all__ = [
     "Tensor", "Tape", "GruParams", "backward", "finite_diff_grad", "gru_cell",
     "masked_softmax", "matmul",
     # attention
-    "FULL", "AttentionConfig", "AttentionMap", "ToyModelConfig", "ToySeq2Seq",
+    "FULL", "AttentionMap", "ToyModelConfig", "ToySeq2Seq",
     "build_local_mask", "extend_positional_embedding", "mean_attention_distance",
     "multi_head_attention", "uniform_attention_distance",
     # cost model

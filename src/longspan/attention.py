@@ -2,10 +2,14 @@
 
 The encoder restricts self-attention to a symmetric band of total width W
 around each query position (boundary rows simply see fewer neighbors);
-decoder self-attention stays causal and cross-attention stays full.  The
-band is realized by masking a dense computation: memory savings at real
-scale are modeled by :mod:`longspan.costmodel`, not by this module's
-actual footprint.
+decoder self-attention stays causal and cross-attention stays full.  An
+integer window runs the encoder through :func:`autodiff.banded_attention`,
+which holds scores as an [H x N x 2h+1] band (h = W // 2), so training time
+and memory grow with N * W rather than N^2.  A ``"full"`` window, the
+decoder and cross-attention use the dense masked product
+(:func:`multi_head_attention`), which with :func:`build_local_mask` is also
+the reference the band is tested against.  Only the diagnostic
+:meth:`ToySeq2Seq.encoder_forward` expands the band into [H x N x N] maps.
 
 Positional rows beyond the base table are produced by palindromic tiling
 (copy, then flipped copy, alternating), so adjacent blocks meet at equal
@@ -25,33 +29,12 @@ from .errors import ContractError, DimensionError, DomainError, InputError
 
 FULL = "full"
 
+# Largest |row sum - 1| an attention map may show.
+ROW_SUM_TOL = 1e-9
+
 
 def _is_full(window) -> bool:
     return isinstance(window, str) and window.lower() == FULL
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Geometry of one self-attention stack: positions, band width, heads."""
-
-    n_positions: int
-    window: int | str
-    n_heads: int
-    d_model: int
-
-    def __post_init__(self):
-        if self.n_positions < 1:
-            raise DomainError(f"n_positions must be >= 1, got {self.n_positions}")
-        if not _is_full(self.window) and int(self.window) < 1:
-            raise DomainError(f"window must be >= 1 or '{FULL}', got {self.window}")
-        if self.d_model % self.n_heads != 0:
-            raise DomainError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
 
 
 @dataclass(frozen=True)
@@ -71,8 +54,8 @@ class AttentionMap:
             w = w[None, :, :]
         if w.ndim != 3 or w.shape[-1] != w.shape[-2]:
             raise DimensionError(f"attention map must be [heads x N x N], got {w.shape}")
-        if np.abs(w.sum(axis=-1) - 1.0).max() > 1e-9:
-            raise ContractError("attention rows must sum to 1 within 1e-9")
+        if np.abs(w.sum(axis=-1) - 1.0).max() > ROW_SUM_TOL:
+            raise ContractError(f"attention rows must sum to 1 within {ROW_SUM_TOL:g}")
         if self.window is not None:
             permitted = build_local_mask(w.shape[-1], self.window)
             if (w[:, ~permitted] != 0.0).any():
@@ -153,6 +136,21 @@ def _split_heads(x: Tensor, n_heads: int) -> Tensor:
     return ad.transpose(ad.reshape(x, (n, n_heads, d // n_heads)), (1, 0, 2))
 
 
+def _project_heads(q: Tensor, k: Tensor, v: Tensor, params: AttentionParams,
+                   n_heads: int) -> tuple[Tensor, Tensor, Tensor]:
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise DimensionError(f"expected 2-D q/k/v, got {q.shape}, {k.shape}, {v.shape}")
+    return (_split_heads(ad.add(ad.matmul(q, params.wq), params.bq), n_heads),
+            _split_heads(ad.add(ad.matmul(k, params.wk), params.bk), n_heads),
+            _split_heads(ad.add(ad.matmul(v, params.wv), params.bv), n_heads))
+
+
+def _merge_heads(ctx: Tensor, params: AttentionParams) -> Tensor:
+    n_heads, n, d_head = ctx.shape
+    merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (n, n_heads * d_head))
+    return ad.add(ad.matmul(merged, params.wo), params.bo)
+
+
 def multi_head_attention(
     q: Tensor,
     k: Tensor,
@@ -167,22 +165,35 @@ def multi_head_attention(
     [heads x Nq x Nk] for diagnostics.  Rows of ``mask`` must each permit
     at least one key.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise DimensionError(f"expected 2-D q/k/v, got {q.shape}, {k.shape}, {v.shape}")
-    d_model = q.shape[1]
-    d_head = d_model // n_heads
-    qh = _split_heads(ad.add(ad.matmul(q, params.wq), params.bq), n_heads)
-    kh = _split_heads(ad.add(ad.matmul(k, params.wk), params.bk), n_heads)
-    vh = _split_heads(ad.add(ad.matmul(v, params.wv), params.bv), n_heads)
+    qh, kh, vh = _project_heads(q, k, v, params, n_heads)
     scores = ad.mul(
         ad.matmul(qh, ad.transpose(kh, (0, 2, 1))),
-        ad.Tensor(np.float64(1.0 / math.sqrt(d_head))),
+        ad.Tensor(np.float64(1.0 / math.sqrt(qh.shape[-1]))),
     )
     attn = ad.masked_softmax(scores, mask[None, :, :])
-    ctx = ad.matmul(attn, vh)  # [H, Nq, d_head]
-    merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (q.shape[0], d_model))
-    out = ad.add(ad.matmul(merged, params.wo), params.bo)
-    return out, attn
+    return _merge_heads(ad.matmul(attn, vh), params), attn
+
+
+def banded_multi_head_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    window: int,
+    params: AttentionParams,
+    n_heads: int,
+) -> tuple[Tensor, np.ndarray]:
+    """:func:`multi_head_attention` under ``build_local_mask(N, window)``, in O(N * W).
+
+    Queries and keys must be the same length.  Returns the projected
+    output [N x d_model] and the band probabilities [heads x N x 2h+1]
+    (:func:`autodiff.band_to_dense` expands them).
+    """
+    window = int(window)
+    if window < 1:
+        raise DomainError(f"window must be >= 1, got {window}")
+    qh, kh, vh = _project_heads(q, k, v, params, n_heads)
+    ctx, band = ad.banded_attention(qh, kh, vh, window // 2)
+    return _merge_heads(ctx, params), band
 
 
 def extend_positional_embedding(base: Tensor, target_len: int) -> Tensor:
@@ -212,8 +223,10 @@ def mean_attention_distance(weights, n: int | None = None) -> float:
     if n is not None and n != size:
         raise DimensionError(f"declared N={n} does not match map size {size}")
     row_sums = w.sum(axis=-1)
-    if np.abs(row_sums - 1.0).max() > 1e-6:
-        raise ContractError("attention rows are not row-stochastic (sum deviates > 1e-6)")
+    if np.abs(row_sums - 1.0).max() > ROW_SUM_TOL:
+        raise ContractError(
+            f"attention rows are not row-stochastic (sum deviates > {ROW_SUM_TOL:g})"
+        )
     dist = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
     return float((w * dist).sum() / size)
 
@@ -354,18 +367,26 @@ class ToySeq2Seq:
             table = extend_positional_embedding(table, cfg.max_src)
         return ad.getitem(table, np.arange(n))
 
-    def _block_forward(self, prefix: str, x: Tensor, mask: np.ndarray,
+    def _block_forward(self, prefix: str, x: Tensor, mask: np.ndarray | None,
                        cross_states: Tensor | None = None,
                        cross_mask: np.ndarray | None = None):
+        """One post-norm block; ``mask=None`` bands self-attention at the model's window.
+
+        Returns the block output and its self-attention weights: dense
+        [heads x N x N] under a mask, the [heads x N x 2h+1] band otherwise.
+        """
         p = self.params
-        attn_out, attn = multi_head_attention(
-            x, x, x, mask, self._attn_params(f"{prefix}.attn"), self.config.n_heads
-        )
+        params, heads = self._attn_params(f"{prefix}.attn"), self.config.n_heads
+        if mask is None:
+            attn_out, attn = banded_multi_head_attention(x, x, x, self.config.window,
+                                                         params, heads)
+        else:
+            attn_out, attn = multi_head_attention(x, x, x, mask, params, heads)
         x = layer_norm(ad.add(x, attn_out), p[f"{prefix}.ln_a.g"], p[f"{prefix}.ln_a.b"])
         if cross_states is not None:
             xatt_out, _ = multi_head_attention(
                 x, cross_states, cross_states, cross_mask,
-                self._attn_params(f"{prefix}.xattn"), self.config.n_heads,
+                self._attn_params(f"{prefix}.xattn"), heads,
             )
             x = layer_norm(ad.add(x, xatt_out), p[f"{prefix}.ln_x.g"], p[f"{prefix}.ln_x.b"])
         h = ad.gelu(ad.add(ad.matmul(x, p[f"{prefix}.ffn.w1"]), p[f"{prefix}.ffn.b1"]))
@@ -373,20 +394,24 @@ class ToySeq2Seq:
         x = layer_norm(ad.add(x, ffn), p[f"{prefix}.ln_f.g"], p[f"{prefix}.ln_f.b"])
         return x, attn
 
-    def encoder_forward(self, tokens) -> tuple[Tensor, list[Tensor]]:
+    def encoder_forward(self, tokens, need_weights: bool = True) -> tuple[Tensor, list[Tensor]]:
         """Embed, add positions, run banded self-attention layers.
 
-        Returns final states [N x d_model] and per-layer attention maps.
+        Returns final states [N x d_model] and per-layer attention maps
+        [heads x N x N] (zero outside the band).  ``need_weights=False``
+        returns no maps, so a banded encoder never forms an N x N array.
         """
         cfg = self.config
         ids = self._check_tokens(tokens, cfg.max_src, "source")
         n = ids.size
         x = ad.add(ad.getitem(self.params["embed"], ids), self._encoder_positions(n))
-        mask = build_local_mask(n, cfg.window)
+        full = _is_full(cfg.window)
+        mask = build_local_mask(n, FULL) if full else None
         attns: list[Tensor] = []
         for i in range(cfg.enc_layers):
             x, attn = self._block_forward(f"enc.{i}", x, mask)
-            attns.append(attn)
+            if need_weights:
+                attns.append(attn if full else ad.band_to_dense(attn))
         return x, attns
 
     def seq2seq_forward(self, source, target) -> Tensor:
@@ -396,7 +421,7 @@ class ToySeq2Seq:
         (causal decoder self-attention, full cross-attention).
         """
         cfg = self.config
-        enc_states, _ = self.encoder_forward(source)
+        enc_states, _ = self.encoder_forward(source, need_weights=False)
         tgt = self._check_tokens(target, cfg.max_tgt, "target")
         m = tgt.size
         dec_in = np.concatenate(([cfg.bos_id], tgt[:-1]))

@@ -548,6 +548,77 @@ def softmax(logits: Tensor) -> Tensor:
     return masked_softmax(logits, np.ones(logits.shape, dtype=bool))
 
 
+def _band_diagonals(n: int, half: int):
+    """(slot, offset, lo, hi): band slot ``slot`` of rows lo..hi-1 holds key row + offset."""
+    for slot in range(2 * half + 1):
+        offset = slot - half
+        yield slot, offset, max(0, -offset), min(n, n - offset)
+
+
+def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor, Array]:
+    """Scaled dot-product self-attention over keys with |i - j| <= ``half``.
+
+    ``q``, ``k`` and ``v`` are per-head [H x N x d_head].  Scores and
+    probabilities are held as an [H x N x 2h+1] band, h = min(half, N - 1),
+    whose slot s of row i is key i + s - h.  Slots past either end of the
+    sequence are -inf before the row max, so their probability is exactly
+    0.  No N x N array is formed: time and memory grow with N * h.
+
+    Records one op; returns the context [H x N x d_head] and the band
+    probabilities (see :func:`band_to_dense`).
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(f"banded_attention expects equal [H x N x d] q/k/v, got "
+                             f"{q.shape}, {k.shape}, {v.shape}")
+    if half < 0:
+        raise DomainError(f"band half-width must be >= 0, got {half}")
+    # per-diagonal slices of head-split views are strided; contiguous copies run faster
+    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, k, v))
+    n_heads, n, d_head = qd.shape
+    h = min(int(half), n - 1)
+    scale = 1.0 / math.sqrt(d_head)
+    diagonals = list(_band_diagonals(n, h))
+
+    scores = np.full((n_heads, n, 2 * h + 1), -np.inf)
+    for slot, off, lo, hi in diagonals:
+        scores[:, lo:hi, slot] = np.einsum(
+            "hnd,hnd->hn", qd[:, lo:hi], kd[:, lo + off:hi + off]) * scale
+    expd = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = expd / expd.sum(axis=-1, keepdims=True)
+    ctx = np.zeros_like(qd)
+    for slot, off, lo, hi in diagonals:
+        ctx[:, lo:hi] += probs[:, lo:hi, slot, None] * vd[:, lo + off:hi + off]
+
+    def bwd(g):
+        g = np.ascontiguousarray(g)
+        dprobs = np.zeros_like(probs)
+        dv = np.zeros_like(vd)
+        for slot, off, lo, hi in diagonals:
+            dprobs[:, lo:hi, slot] = np.einsum("hnd,hnd->hn", g[:, lo:hi], vd[:, lo + off:hi + off])
+            dv[:, lo + off:hi + off] += probs[:, lo:hi, slot, None] * g[:, lo:hi]
+        inner = (probs * dprobs).sum(axis=-1, keepdims=True)
+        dscores = probs * (dprobs - inner) * scale
+        dq = np.zeros_like(qd)
+        dk = np.zeros_like(kd)
+        for slot, off, lo, hi in diagonals:
+            ds = dscores[:, lo:hi, slot, None]
+            dq[:, lo:hi] += ds * kd[:, lo + off:hi + off]
+            dk[:, lo + off:hi + off] += ds * qd[:, lo:hi]
+        return (dq, dk, dv)
+
+    return _apply(ctx, (q, k, v), bwd), probs
+
+
+def band_to_dense(band: Array) -> Tensor:
+    """Scatter [H x N x 2h+1] band probabilities into an [H x N x N] map (zeros off-band)."""
+    n_heads, n, width = band.shape
+    dense = np.zeros((n_heads, n, n))
+    for slot, off, lo, hi in _band_diagonals(n, (width - 1) // 2):
+        rows = np.arange(lo, hi)
+        dense[:, rows, rows + off] = band[:, lo:hi, slot]
+    return Tensor._wrap(dense)
+
+
 def log_softmax(logits: Tensor) -> Tensor:
     x = logits.data
     m = x.max(axis=-1, keepdims=True)

@@ -30,11 +30,11 @@ from .corpus import (
     write_corpus,
 )
 from .errors import FormatError, LongspanError
+from .metrics import rouge_suite, tokenize
 
 
 class UsageError(Exception):
     """Bad argument combination; reported through the parser (exit code 2)."""
-from .metrics import rouge_suite, tokenize
 
 
 def _print_report(report: dict, fmt: str, lines_text) -> None:
@@ -106,13 +106,15 @@ def cmd_cost_model(args) -> int:
         except FormatError:
             pass  # custom file covers one model kind only
     if args.grid:
+        grid = _parse_grid(args.grid)
+        # a --coeff-file may cover one kind only: load each kind only if a candidate uses it
         points = costmodel.advise_operating_point(
             args.budget if args.budget is not None else float("inf"),
             args.M if args.M is not None else 144,
             args.batch,
-            _parse_grid(args.grid),
-            bart=coeffs(costmodel.KIND_BART),
-            lobart=coeffs(costmodel.KIND_LOBART),
+            grid,
+            bart=coeffs(costmodel.KIND_BART) if any(w is None for _, w in grid) else None,
+            lobart=coeffs(costmodel.KIND_LOBART) if any(w is not None for _, w in grid) else None,
         )
         report["grid"] = [p.to_dict() for p in points]
 

@@ -46,12 +46,6 @@ class TestLocalMask:
         with pytest.raises(DomainError):
             attn.build_local_mask(4, 0)
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            attn.AttentionConfig(n_positions=8, window=4, n_heads=3, d_model=16)
-        cfg = attn.AttentionConfig(n_positions=8, window=attn.FULL, n_heads=4, d_model=16)
-        assert cfg.d_head == 4
-
 
 class TestMultiHeadAttention:
     @staticmethod
@@ -240,6 +234,17 @@ class TestMeanDistance:
     def test_non_stochastic_rejected(self):
         with pytest.raises(ContractError):
             attn.mean_attention_distance(np.full((3, 3), 0.5))
+
+    def test_row_off_by_1e7_rejected_here_and_by_attention_map(self):
+        weights = np.full((4, 4), 0.25)
+        weights[2, 1] += 1e-7
+        with pytest.raises(ContractError):
+            attn.mean_attention_distance(weights)
+        with pytest.raises(ContractError):
+            attn.AttentionMap(weights)
+        weights[2, 1] -= 1e-7 - attn.ROW_SUM_TOL / 2
+        attn.mean_attention_distance(weights)
+        attn.AttentionMap(weights)
 
 
 class TestAttentionMap:

@@ -1,10 +1,12 @@
 """Command surface: formats, exit codes, determinism, round-trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from longspan import costmodel
 from longspan.cli import main
 from longspan.corpus import make_synthetic_corpus, write_corpus
 
@@ -99,6 +101,22 @@ class TestCostModel:
         code, report = run_json(capsys, "cost-model", "--kind", "bart",
                                 "-N", "10", "-M", "10", "--coeff-file", str(path))
         assert code == 0 and report["total_gib"] == 1.0
+
+    def test_grid_loads_only_the_kinds_it_uses(self, capsys, tmp_path):
+        bundled = Path(costmodel.__file__).with_name("data") / "memory_coefficients.txt"
+        bart_only = tmp_path / "bart_only.txt"
+        bart_only.write_text("".join(line for line in bundled.read_text().splitlines(True)
+                                     if line.startswith("c_b_")))
+        code, report = run_json(capsys, "cost-model", "--kind", "bart", "-N", "1024",
+                                "-M", "144", "--grid", "1024:full",
+                                "--coeff-file", str(bart_only))
+        assert code == 0
+        assert [(p["n"], p["window"]) for p in report["grid"]] == [(1024, None)]
+        assert "breakeven_width" not in report  # needs the banded kind the file lacks
+        code = main(["cost-model", "--kind", "bart", "-N", "1024", "-M", "144",
+                     "--grid", "1024:full,1024:256", "--coeff-file", str(bart_only)])
+        assert code == 1
+        assert "c_l_1" in capsys.readouterr().err
 
 
 class TestSelect:
