@@ -25,6 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checkpoint import load_tensors, restore, save_tensors
 from .errors import ContractError, DimensionError, DomainError, InputError
 
 FULL = "full"
@@ -65,13 +66,6 @@ class AttentionMap:
     @property
     def n_heads(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def n_positions(self) -> int:
-        return self.weights.shape[-1]
-
-    def head(self, index: int) -> np.ndarray:
-        return self.weights[index]
 
     def mean_distances(self) -> list[float]:
         return [mean_attention_distance(self.weights[h]) for h in range(self.n_heads)]
@@ -445,31 +439,10 @@ class ToySeq2Seq:
     CHECKPOINT_KIND = "toy_seq2seq"
 
     def save(self, path) -> None:
-        from .checkpoint import save_tensors
-
         save_tensors(path, self.params,
                      {"kind": self.CHECKPOINT_KIND, "config": self.config.to_dict()})
 
 
 def load_toy_model(path) -> ToySeq2Seq:
-    from .checkpoint import load_tensors
-    from .errors import FormatError
-
-    tensors, meta = load_tensors(path)
-    if meta.get("kind") != ToySeq2Seq.CHECKPOINT_KIND:
-        raise FormatError(
-            f"checkpoint kind {meta.get('kind')!r} is not {ToySeq2Seq.CHECKPOINT_KIND!r}"
-        )
-    config = ToyModelConfig(**meta["config"])
-    template = ToySeq2Seq.init(config, seed=0)
-    if set(template.params) != set(tensors):
-        raise FormatError("checkpoint tensors do not match the model layout")
-    params = {}
-    for name, arr in tensors.items():
-        if template.params[name].shape != arr.shape:
-            raise FormatError(
-                f"checkpoint tensor {name} has shape {arr.shape}, "
-                f"expected {template.params[name].shape}"
-            )
-        params[name] = ad.parameter(arr)
-    return ToySeq2Seq(config, params)
+    return restore(load_tensors(path), ToySeq2Seq.CHECKPOINT_KIND,
+                   lambda meta: ToySeq2Seq.init(ToyModelConfig(**meta["config"]), seed=0))

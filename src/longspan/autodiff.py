@@ -98,9 +98,6 @@ class Tensor:
     def __float__(self) -> float:
         return self.item()
 
-    def numpy(self) -> Array:
-        return self.data.copy()
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -11,20 +11,23 @@ Binary layout (all integers little-endian):
             float64 values, row-major, little-endian
 
 The format is self-describing enough for cross-checking shapes on load;
-any structural mismatch raises :class:`~longspan.errors.FormatError`.
+any malformed container, and any metadata or tensor set that does not
+describe a model, raises :class:`~longspan.errors.FormatError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 
-from .autodiff import Tensor
-from .errors import FormatError
+from .autodiff import Tensor, parameter
+from .errors import FormatError, LongspanError
 
 MAGIC = b"LSNT"
 VERSION = 1
@@ -52,42 +55,82 @@ def save_tensors(path, tensors: Mapping[str, "np.ndarray | Tensor"], meta: dict 
             out.write(arr.astype("<f8").tobytes())
 
 
-def _read_exact(handle, size: int, what: str) -> bytes:
-    blob = handle.read(size)
-    if len(blob) != size:
-        raise FormatError(f"truncated container while reading {what}")
-    return blob
-
-
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
     if not path.exists():
         raise FormatError(f"checkpoint not found: {path}")
     with open(path, "rb") as handle:
-        if _read_exact(handle, 4, "magic") != MAGIC:
+        end = os.fstat(handle.fileno()).st_size
+
+        def read(size: int, what: str) -> bytes:
+            # a corrupt length must fail here, not become a huge read
+            if size > end - handle.tell():
+                raise FormatError(f"truncated container while reading {what}")
+            return handle.read(size)
+
+        if read(4, "magic") != MAGIC:
             raise FormatError(f"{path} is not a named-tensor container (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(handle, 4, "version"))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != VERSION:
             raise FormatError(f"{path}: unsupported container version {version}")
-        (meta_len,) = struct.unpack("<I", _read_exact(handle, 4, "meta length"))
+        (meta_len,) = struct.unpack("<I", read(4, "meta length"))
         try:
-            meta = json.loads(_read_exact(handle, meta_len, "metadata").decode("utf-8"))
+            meta = json.loads(read(meta_len, "metadata").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: corrupt metadata block") from exc
-        (count,) = struct.unpack("<I", _read_exact(handle, 4, "tensor count"))
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: metadata is not a JSON object")
+        (count,) = struct.unpack("<I", read(4, "tensor count"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(handle, 2, "name length"))
-            name = _read_exact(handle, name_len, "name").decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(handle, 1, "ndim"))
+            (name_len,) = struct.unpack("<H", read(2, "name length"))
+            try:
+                name = read(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: tensor name is not UTF-8") from exc
+            (ndim,) = struct.unpack("<B", read(1, "ndim"))
             shape = tuple(
-                struct.unpack("<Q", _read_exact(handle, 8, "dimension"))[0]
+                struct.unpack("<Q", read(8, "dimension"))[0]
                 for _ in range(ndim)
             )
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            blob = _read_exact(handle, 8 * size, f"data of {name}")
-            tensors[name] = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(shape)
-        trailing = handle.read(1)
-        if trailing:
+            blob = read(8 * math.prod(shape), f"data of {name}")
+            try:
+                tensors[name] = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(shape)
+            except ValueError as exc:  # an empty tensor with a dimension numpy cannot hold
+                raise FormatError(f"{path}: tensor {name} has shape {shape}") from exc
+        if handle.tell() != end:
             raise FormatError(f"{path}: trailing bytes after last tensor")
     return tensors, meta
+
+
+T = TypeVar("T")
+
+
+def restore(loaded: tuple[dict[str, np.ndarray], dict], kind: str,
+            build: Callable[[dict], T]) -> T:
+    """The model of ``kind`` held by a :func:`load_tensors` result.
+
+    ``build(meta)`` returns a freshly initialised model of the stored
+    configuration; its ``params`` fix the expected tensor names and shapes
+    and are replaced by the stored values.  Metadata that ``build`` cannot
+    turn into a model raises :class:`FormatError`, as does any other kind
+    or tensor layout.
+    """
+    tensors, meta = loaded
+    if meta.get("kind") != kind:
+        raise FormatError(f"checkpoint kind {meta.get('kind')!r} is not {kind!r}")
+    try:
+        model = build(meta)
+    except (KeyError, TypeError, ValueError, OverflowError, LongspanError) as exc:
+        raise FormatError(f"checkpoint metadata does not describe a {kind} model: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    if set(model.params) != set(tensors):
+        raise FormatError("checkpoint tensors do not match the model layout")
+    for name, arr in tensors.items():
+        if model.params[name].shape != arr.shape:
+            raise FormatError(
+                f"checkpoint tensor {name} has shape {arr.shape}, "
+                f"expected {model.params[name].shape}"
+            )
+    model.params = {name: parameter(arr) for name, arr in tensors.items()}
+    return model

@@ -25,6 +25,7 @@ from .corpus import (
     Example,
     Vocab,
     example_from_record,
+    iter_jsonl,
     load_corpus,
     make_synthetic_corpus,
     write_corpus,
@@ -155,30 +156,24 @@ def cmd_select(args) -> int:
     outputs: list[str] = []
     errors: list[dict] = []
     processed: list[tuple[Example, selection.Selection]] = []
-    with open(args.input, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                errors.append({"line": line_no, "error": f"invalid JSON: {exc.msg}"})
-                outputs.append(json.dumps({"line": line_no, "error": "invalid JSON"}))
-                continue
-            try:
-                example = example_from_record(record, line_no)
-                picked = selection.select(
-                    example.doc, lib_method, args.budget,
-                    reference=example.reference, scorer=scorer,
-                    seed=args.seed,
-                )
-            except LongspanError as exc:
-                errors.append({"line": line_no, "error": str(exc)})
-                outputs.append(json.dumps({"line": line_no, "error": str(exc)}))
-                continue
-            outputs.append(json.dumps(picked.to_record(example.doc), ensure_ascii=False))
-            processed.append((example, picked))
+
+    def failed(line_no: int, exc: LongspanError) -> None:
+        errors.append({"line": line_no, "error": str(exc)})
+        outputs.append(json.dumps({"line": line_no, "error": str(exc)}))
+
+    for line_no, record in iter_jsonl(args.input, on_error=failed):
+        try:
+            example = example_from_record(record, line_no)
+            picked = selection.select(
+                example.doc, lib_method, args.budget,
+                reference=example.reference, scorer=scorer,
+                seed=args.seed,
+            )
+        except LongspanError as exc:
+            failed(line_no, exc)
+            continue
+        outputs.append(json.dumps(picked.to_record(example.doc), ensure_ascii=False))
+        processed.append((example, picked))
 
     Path(args.output).write_text("\n".join(outputs) + ("\n" if outputs else ""),
                                  encoding="utf-8")
@@ -348,22 +343,14 @@ def cmd_score(args) -> int:
 def cmd_evaluate(args) -> int:
     totals = {"r1": [], "r2": [], "rl": []}
     count = 0
-    with open(args.input, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            if "candidate" not in record or "reference" not in record:
-                raise FormatError(f"line {line_no}: needs 'candidate' and 'reference'")
-            cand = tokenize(record["candidate"])
-            ref = tokenize(record["reference"])
-            for key, score in rouge_suite(cand, ref).items():
-                totals[key].append(score)
-            count += 1
+    for line_no, record in iter_jsonl(args.input):
+        if "candidate" not in record or "reference" not in record:
+            raise FormatError(f"line {line_no}: needs 'candidate' and 'reference'")
+        cand = tokenize(record["candidate"])
+        ref = tokenize(record["reference"])
+        for key, score in rouge_suite(cand, ref).items():
+            totals[key].append(score)
+        count += 1
     if count == 0:
         raise FormatError("no records to evaluate")
     report = {"documents": count}

@@ -13,23 +13,14 @@ Sentence indices are 0-based everywhere in this package.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import FormatError, InputError
 from .metrics import tokenize
-
-_SENTENCE_SPLIT = re.compile(r"[.!?\n]+")
-
-
-def split_sentences(text: str) -> list[str]:
-    """Trivial sentence splitter on terminal punctuation and newlines."""
-    return [part.strip() for part in _SENTENCE_SPLIT.split(text) if part.strip()]
-
 
 @dataclass
 class Document:
@@ -51,22 +42,8 @@ class Document:
         return len(self.sentences)
 
     @property
-    def word_counts(self) -> list[int]:
-        return [len(s) for s in self.sentences]
-
-    @property
     def total_words(self) -> int:
         return sum(len(s) for s in self.sentences)
-
-    @classmethod
-    def from_strings(cls, sentences: Iterable[str], id: str | None = None) -> "Document":
-        tokenized = [tokenize(s) for s in sentences]
-        tokenized = [s for s in tokenized if s]
-        return cls(tokenized, id=id)
-
-    @classmethod
-    def from_text(cls, text: str, id: str | None = None) -> "Document":
-        return cls.from_strings(split_sentences(text), id=id)
 
 
 @dataclass
@@ -116,22 +93,32 @@ def example_from_record(record: dict, line_no: int | None = None) -> Example:
     return Example(doc, ref_tokens)
 
 
-def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, record) pairs; malformed JSON raises FormatError."""
+def iter_jsonl(path, on_error: Callable[[int, FormatError], None] | None = None
+               ) -> Iterator[tuple[int, dict]]:
+    """Yield (line_no, record) pairs of the non-blank lines.
+
+    A line that is not JSON raises FormatError or, given ``on_error``, is
+    passed to it as ``(line_no, error)`` and skipped.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                yield line_no, json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+                error = FormatError(f"line {line_no}: invalid JSON ({exc.msg})")
+                if on_error is None:
+                    raise error from exc
+                on_error(line_no, error)
+                continue
+            yield line_no, record
 
 
 def load_corpus(path) -> list[Example]:
-    """Strict loader: any malformed line raises.  The CLI uses the iterator
-    form to keep going past bad lines."""
+    """Strict loader: any malformed line raises.  ``select`` reads
+    :func:`iter_jsonl` itself to keep going past bad lines."""
     return [example_from_record(record, line_no) for line_no, record in iter_jsonl(path)]
 
 

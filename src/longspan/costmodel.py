@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,17 +31,45 @@ KIND_BART = "bart"
 KIND_LOBART = "lobart"
 KIND_HIER = "hier_rnn"
 
-_TERM_NAMES = {
-    KIND_BART: ("const", "per_m", "per_n", "per_mn", "per_m2", "per_n2"),
-    KIND_LOBART: ("const", "per_m", "per_n", "per_mn", "per_m2", "per_nw"),
-    KIND_HIER: ("const", "per_n1", "per_n1n2"),
+
+@dataclass(frozen=True)
+class _Model:
+    """One kind's memory model: ``const + batch * sum(c_i * basis_i(sizes))``.
+
+    ``sizes`` names the sizes as a fit sample holds them; ``basis`` maps
+    them, in that order, to the basis values of every term after ``const``.
+    """
+
+    sizes: tuple[str, ...]
+    terms: tuple[str, ...]
+    file_keys: tuple[str, ...]
+    basis: Callable[..., tuple]
+
+    def row(self, batch, sizes) -> list:
+        """Multipliers of the coefficients: 1 for ``const``, batch x basis otherwise."""
+        return [1.0] + [batch * value for value in self.basis(*sizes)]
+
+
+_MODELS = {
+    KIND_BART: _Model(("n", "m"),
+                      ("const", "per_m", "per_n", "per_mn", "per_m2", "per_n2"),
+                      tuple(f"c_b_{i}" for i in range(1, 7)),
+                      lambda n, m: (m, n, m * n, m * m, n * n)),
+    KIND_LOBART: _Model(("n", "m", "w"),
+                        ("const", "per_m", "per_n", "per_mn", "per_m2", "per_nw"),
+                        tuple(f"c_l_{i}" for i in range(1, 7)),
+                        lambda n, m, w: (m, n, m * n, m * m, n * w)),
+    KIND_HIER: _Model(("n1", "n2"),
+                      ("const", "per_n1", "per_n1n2"),
+                      ("hier_c0", "hier_c1", "hier_c2"),
+                      lambda n1, n2: (n1, n1 * n2)),
 }
 
-_FILE_KEYS = {
-    KIND_BART: tuple(f"c_b_{i}" for i in range(1, 7)),
-    KIND_LOBART: tuple(f"c_l_{i}" for i in range(1, 7)),
-    KIND_HIER: ("hier_c0", "hier_c1", "hier_c2"),
-}
+
+def _model(kind: str) -> _Model:
+    if kind not in _MODELS:
+        raise DomainError(f"unknown cost-model kind {kind!r}")
+    return _MODELS[kind]
 
 
 def load_coefficient_file(path) -> dict[str, float]:
@@ -76,25 +104,21 @@ class CostCoefficients:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in _TERM_NAMES:
-            raise DomainError(f"unknown cost-model kind {self.kind!r}")
-        expected = len(_TERM_NAMES[self.kind])
-        if len(self.values) != expected:
+        terms = _model(self.kind).terms
+        if len(self.values) != len(terms):
             raise DomainError(
-                f"{self.kind} model takes {expected} coefficients, got {len(self.values)}"
+                f"{self.kind} model takes {len(terms)} coefficients, got {len(self.values)}"
             )
-        for name, v in zip(_TERM_NAMES[self.kind], self.values):
+        for name, v in zip(terms, self.values):
             if not math.isfinite(v) or v < 0:
                 raise DomainError(f"coefficient {name} must be finite and >= 0, got {v}")
 
     def named(self) -> dict[str, float]:
-        return dict(zip(_TERM_NAMES[self.kind], self.values))
+        return dict(zip(_MODELS[self.kind].terms, self.values))
 
     @classmethod
     def from_mapping(cls, kind: str, mapping: Mapping[str, float]) -> "CostCoefficients":
-        keys = _FILE_KEYS.get(kind)
-        if keys is None:
-            raise DomainError(f"unknown cost-model kind {kind!r}")
+        keys = _model(kind).file_keys
         try:
             return cls(kind, tuple(float(mapping[k]) for k in keys))
         except KeyError as exc:
@@ -132,58 +156,34 @@ def _check_positive(**kwargs: int) -> None:
             raise DomainError(f"{name} must be a positive integer, got {value}")
 
 
+def _memory(kind: str, coeffs: CostCoefficients | None, batch: int,
+            **sizes: int) -> MemoryBreakdown:
+    _check_positive(**sizes, batch=batch)
+    coeffs = coeffs or CostCoefficients.defaults(kind)
+    if coeffs.kind != kind:
+        raise DomainError(f"expected {kind} coefficients, got {coeffs.kind}")
+    model = _MODELS[kind]
+    row = model.row(batch, sizes.values())
+    terms = {name: c * x for name, c, x in zip(model.terms, coeffs.values, row)}
+    return MemoryBreakdown(kind, {**sizes, "batch": batch}, terms)
+
+
 def bart_memory(n: int, m: int, batch: int = 1,
                 coeffs: CostCoefficients | None = None) -> MemoryBreakdown:
     """Training memory of the full-attention model at input/target (N, M)."""
-    _check_positive(n=n, m=m, batch=batch)
-    coeffs = coeffs or CostCoefficients.defaults(KIND_BART)
-    if coeffs.kind != KIND_BART:
-        raise DomainError(f"expected {KIND_BART} coefficients, got {coeffs.kind}")
-    c1, c2, c3, c4, c5, c6 = coeffs.values
-    terms = {
-        "const": c1,
-        "per_m": batch * c2 * m,
-        "per_n": batch * c3 * n,
-        "per_mn": batch * c4 * m * n,
-        "per_m2": batch * c5 * m * m,
-        "per_n2": batch * c6 * n * n,
-    }
-    return MemoryBreakdown(KIND_BART, {"n": n, "m": m, "batch": batch}, terms)
+    return _memory(KIND_BART, coeffs, batch, n=n, m=m)
 
 
 def lobart_memory(n: int, m: int, window: int, batch: int = 1,
                   coeffs: CostCoefficients | None = None) -> MemoryBreakdown:
     """Training memory of the banded-encoder model at (N, M, W)."""
-    _check_positive(n=n, m=m, window=window, batch=batch)
-    coeffs = coeffs or CostCoefficients.defaults(KIND_LOBART)
-    if coeffs.kind != KIND_LOBART:
-        raise DomainError(f"expected {KIND_LOBART} coefficients, got {coeffs.kind}")
-    c1, c2, c3, c4, c5, c6 = coeffs.values
-    terms = {
-        "const": c1,
-        "per_m": batch * c2 * m,
-        "per_n": batch * c3 * n,
-        "per_mn": batch * c4 * m * n,
-        "per_m2": batch * c5 * m * m,
-        "per_nw": batch * c6 * n * window,
-    }
-    return MemoryBreakdown(KIND_LOBART, {"n": n, "m": m, "window": window, "batch": batch}, terms)
+    return _memory(KIND_LOBART, coeffs, batch, n=n, m=m, window=window)
 
 
 def hier_rnn_memory(n1: int, n2: int, batch: int = 1,
                     coeffs: CostCoefficients | None = None) -> MemoryBreakdown:
     """Training memory of the hierarchical RNN selector at (N1 sentences, N2 words)."""
-    _check_positive(n1=n1, n2=n2, batch=batch)
-    coeffs = coeffs or CostCoefficients.defaults(KIND_HIER)
-    if coeffs.kind != KIND_HIER:
-        raise DomainError(f"expected {KIND_HIER} coefficients, got {coeffs.kind}")
-    c0, c1, c2 = coeffs.values
-    terms = {
-        "const": c0,
-        "per_n1": batch * c1 * n1,
-        "per_n1n2": batch * c2 * n1 * n2,
-    }
-    return MemoryBreakdown(KIND_HIER, {"n1": n1, "n2": n2, "batch": batch}, terms)
+    return _memory(KIND_HIER, coeffs, batch, n1=n1, n2=n2)
 
 
 def model_optimizer_memory(param_count: int, bytes_per_value: int = 4) -> MemoryBreakdown:
@@ -214,15 +214,15 @@ def breakeven_width(n: int, bart: CostCoefficients | None = None,
                     lobart: CostCoefficients | None = None) -> float:
     """Largest window still saving activation memory vs. full attention.
 
-    Compares the dominant terms c6_full*N^2 against c6_band*N*W, giving
-    W_max = (c6_full / c6_band) * N (~0.58 N at the bundled defaults).
+    Compares the dominant terms per_n2 * N^2 against per_nw * N * W, giving
+    W_max = (per_n2 / per_nw) * N (~0.58 N at the bundled defaults).
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     bart = bart or CostCoefficients.defaults(KIND_BART)
     lobart = lobart or CostCoefficients.defaults(KIND_LOBART)
-    c_full = bart.values[5]
-    c_band = lobart.values[5]
+    c_full = bart.named()["per_n2"]
+    c_band = lobart.named()["per_nw"]
     if c_band == 0.0:
         raise DomainError("band coefficient per_nw is zero; break-even width undefined")
     return (c_full / c_band) * n
@@ -237,25 +237,14 @@ def fit_coefficients(samples: Sequence[Mapping[str, float]], kind: str,
     full model, N*W for the banded one); pass measured seconds as the
     value and interpret the coefficients accordingly.
     """
-    rows = []
-    targets = []
-    for sample in samples:
-        b = float(sample.get("b", 1))
-        if kind == KIND_BART:
-            n, m = float(sample["n"]), float(sample["m"])
-            rows.append([1.0, b * m, b * n, b * m * n, b * m * m, b * n * n])
-        elif kind == KIND_LOBART:
-            n, m, w = float(sample["n"]), float(sample["m"]), float(sample["w"])
-            rows.append([1.0, b * m, b * n, b * m * n, b * m * m, b * n * w])
-        elif kind == KIND_HIER:
-            n1, n2 = float(sample["n1"]), float(sample["n2"])
-            rows.append([1.0, b * n1, b * n1 * n2])
-        else:
-            raise DomainError(f"unknown cost-model kind {kind!r}")
-        targets.append(float(sample[value_key]))
-    design = np.asarray(rows, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    n_terms = len(_TERM_NAMES[kind])
+    model = _model(kind)
+    design = np.asarray(
+        [model.row(float(s.get("b", 1)), [float(s[k]) for k in model.sizes])
+         for s in samples],
+        dtype=np.float64,
+    )
+    y = np.asarray([float(s[value_key]) for s in samples], dtype=np.float64)
+    n_terms = len(model.terms)
     if design.shape[0] < n_terms:
         raise SingularFitError(
             f"{design.shape[0]} samples cannot determine {n_terms} coefficients"
@@ -266,7 +255,7 @@ def fit_coefficients(samples: Sequence[Mapping[str, float]], kind: str,
     # OLS noise can push a tiny coefficient below zero; treat that as zero
     # within round-off, and refuse clearly negative physics.
     cleaned = []
-    for name, v in zip(_TERM_NAMES[kind], solution):
+    for name, v in zip(model.terms, solution):
         if v < -1e-9:
             raise DomainError(
                 f"fitted coefficient {name} = {v:.3e} is negative; "

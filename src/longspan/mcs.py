@@ -31,11 +31,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GruParams, Tensor
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import load_tensors, restore, save_tensors
 from .corpus import Document, Example, Vocab
 from .errors import (
     DomainError,
-    FormatError,
     InputError,
     TrainingDivergedError,
 )
@@ -225,42 +224,29 @@ class McsModel:
 
     @classmethod
     def load(cls, path) -> "McsModel":
-        tensors, meta = load_tensors(path)
-        if meta.get("kind") != CHECKPOINT_KIND:
-            raise FormatError(
-                f"checkpoint kind {meta.get('kind')!r} is not {CHECKPOINT_KIND!r}"
-            )
-        config = McsConfig(**meta["config"])
-        vocab = Vocab.from_list(meta["vocab"])
-        template = cls.init(config, vocab, seed=0)
-        if set(template.params) != set(tensors):
-            raise FormatError("checkpoint tensors do not match the model layout")
-        params = {}
-        for name, arr in tensors.items():
-            if template.params[name].shape != arr.shape:
-                raise FormatError(
-                    f"checkpoint tensor {name} has shape {arr.shape}, "
-                    f"expected {template.params[name].shape}"
-                )
-            params[name] = ad.parameter(arr)
-        return cls(config, vocab, params)
+        return restore(load_tensors(path), CHECKPOINT_KIND,
+                       lambda meta: cls.init(McsConfig(**meta["config"]),
+                                             Vocab.from_list(meta["vocab"]), seed=0))
 
     # -- encoding -----------------------------------------------------------
 
-    def _doc_ids(self, doc: Document) -> list[list[int]]:
+    def _clip(self, doc: Document) -> Document:
+        """The part of ``doc`` the model sees, with one warning if that is not all of it.
+
+        Only the first ``max_sentences`` sentences, each cut to ``max_words``
+        words, are encoded.  Training labels only those sentences; inference
+        gives every later sentence 0.0 on both channels, so those sentences
+        rank last, in document order.
+        """
         cfg = self.config
-        sentences = doc.sentences
-        if len(sentences) > cfg.max_sentences:
-            log.warning("document %s clipped to %d sentences", doc.id, cfg.max_sentences)
-            sentences = sentences[: cfg.max_sentences]
-        ids = []
-        for sentence in sentences:
-            if len(sentence) > cfg.max_words:
-                log.warning("sentence clipped to %d words in document %s",
-                            cfg.max_words, doc.id)
-                sentence = sentence[: cfg.max_words]
-            ids.append(self.vocab.encode(sentence))
-        return ids
+        kept = doc.sentences[: cfg.max_sentences]
+        long_sentences = sum(len(s) > cfg.max_words for s in kept)
+        if len(kept) == doc.n_sentences and not long_sentences:
+            return doc
+        log.warning("document %s clipped to %d sentences of at most %d words "
+                    "(%d sentences dropped, %d cut)", doc.id, cfg.max_sentences,
+                    cfg.max_words, doc.n_sentences - len(kept), long_sentences)
+        return Document([s[: cfg.max_words] for s in kept], id=doc.id)
 
     def _bigru_sequence(self, x: Tensor, mask: np.ndarray, prefix: str) -> tuple[Tensor, Tensor, Tensor]:
         """Bidirectional GRU over axis 1 of ``x`` [rows, steps, d_in].
@@ -294,10 +280,10 @@ class McsModel:
         """Word-level then sentence-level bidirectional encoding.
 
         Documents beyond the configured sentence/word limits are clipped
-        with a warning.
+        with a warning (:meth:`_clip`).
         """
         cfg = self.config
-        ids = self._doc_ids(doc)
+        ids = [self.vocab.encode(s) for s in self._clip(doc).sentences]
         n1 = len(ids)
         lengths = [len(s) for s in ids]
         j_max = max(lengths)
@@ -535,17 +521,22 @@ class McsModel:
     def inference_scores(self, doc: Document, width: int = 4,
                          length_penalty: float = 2.0, min_len: int = 1,
                          no_repeat_ngram: int = 3) -> tuple[McsScores, Ranking]:
-        """Rank-fused classifier and attention channels plus the resulting ranking."""
+        """Rank-fused classifier and attention channels plus the resulting ranking.
+
+        Every sentence of ``doc`` gets a score; clipped ones rank last (:meth:`_clip`).
+        """
         with ad.no_grad():
             enc = self.encode(doc)
-            z_hat = self.classifier_scores(enc.sent_states).data.copy()
+            z_hat = self.classifier_scores(enc.sent_states).data
             beam = self._beam_from_encoded(
                 enc, width, length_penalty, min_len, self.config.max_target,
                 no_repeat_ngram,
             )
-        attn_mass = beam.sent_attn.sum(axis=0)
+        tail = np.zeros(doc.n_sentences - enc.n_sentences)
+        z_hat = np.concatenate([z_hat, tail])
+        attn_mass = np.concatenate([beam.sent_attn.sum(axis=0), tail])
         fused = rank_normalize(z_hat) + rank_normalize(attn_mass)
-        order = sorted(range(enc.n_sentences), key=lambda i: (-fused[i], i))
+        order = sorted(range(doc.n_sentences), key=lambda i: (-fused[i], i))
         ranking = Ranking(order, [float(fused[i]) for i in order], "model")
         return McsScores(z_hat, attn_mass, fused), ranking
 
@@ -643,7 +634,9 @@ def _prepare(model: McsModel, examples: Sequence[Example]) -> list[tuple[Documen
         if ex.reference is None or not ex.reference:
             raise InputError(f"document {ex.doc.id} has no reference; cannot train")
         target = ex.reference[: model.config.max_target]
-        prepared.append((ex.doc, model._target_ids(target), make_labels(ex.doc, ex.reference)))
+        doc = model._clip(ex.doc)
+        labels = make_labels(ex.doc, ex.reference)[: doc.n_sentences]
+        prepared.append((doc, model._target_ids(target), labels))
     return prepared
 
 

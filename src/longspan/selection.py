@@ -78,20 +78,6 @@ class Selection:
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise DomainError("selection indices must be strictly increasing")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.indices
-
-    def sentences(self, doc: Document) -> list[list[str]]:
-        """Materialize the selected sentences (applying the oversize cut)."""
-        out = []
-        for i in self.indices:
-            sentence = doc.sentences[i]
-            if self.first_sentence_cut is not None:
-                sentence = sentence[: self.first_sentence_cut]
-            out.append(list(sentence))
-        return out
-
     def to_record(self, doc: Document) -> dict:
         record = {"id": doc.id, "kept_indices": list(self.indices),
                   "words_used": self.words_used}

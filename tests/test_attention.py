@@ -254,7 +254,7 @@ class TestAttentionMap:
         _, attns = model.encoder_forward(np.arange(10) + 1)
         amap = attn.AttentionMap(attns[0].data, window=3)
         assert amap.n_heads == cfg.n_heads
-        assert amap.n_positions == 10
+        assert amap.weights.shape == (cfg.n_heads, 10, 10)
         assert len(amap.mean_distances()) == cfg.n_heads
         assert all(d <= 9 for d in amap.mean_distances())
 

@@ -4,10 +4,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from longspan import checkpoint as ckpt
+from longspan.attention import ToyModelConfig, ToySeq2Seq, load_toy_model
 from longspan.autodiff import parameter
+from longspan.corpus import Vocab
 from longspan.errors import FormatError
+from longspan.mcs import McsConfig, McsModel
 
 
 class TestRoundTrip:
@@ -74,3 +79,140 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="not found"):
             ckpt.load_tensors(tmp_path / "absent.lsnt")
+
+
+def _bit_flips(blob: bytes):
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(flipped)
+
+
+class TestFuzz:
+    @staticmethod
+    def small_container(path):
+        ckpt.save_tensors(path, {"w": np.ones((2, 3)), "s": np.array(1.5)},
+                          {"kind": "demo", "config": {"d": 4}})
+        return path.read_bytes()
+
+    def test_every_bit_flip_loads_or_raises_format_error(self, tmp_path):
+        path = tmp_path / "c.lsnt"
+        for blob in _bit_flips(self.small_container(path)):
+            path.write_bytes(blob)
+            try:
+                ckpt.load_tensors(path)
+            except FormatError:
+                pass
+
+    def test_every_truncation_raises_format_error(self, tmp_path):
+        path = tmp_path / "c.lsnt"
+        blob = self.small_container(path)
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(FormatError):
+                ckpt.load_tensors(path)
+
+    def test_oversized_dimension_is_not_read(self, tmp_path):
+        path = tmp_path / "big.lsnt"
+        ckpt.save_tensors(path, {"x": np.ones(1)})
+        blob = bytearray(path.read_bytes())
+        dim_at = len(blob) - 8 - 8  # the one u64 dimension precedes one float64
+        blob[dim_at : dim_at + 8] = struct.pack("<Q", 2**61)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="truncated"):
+            ckpt.load_tensors(path)
+
+    def test_non_object_metadata_rejected(self, tmp_path):
+        path = tmp_path / "m.lsnt"
+        ckpt.save_tensors(path, {"x": np.ones(1)}, [1, 2])
+        with pytest.raises(FormatError, match="JSON object"):
+            ckpt.load_tensors(path)
+
+
+def _small_mcs():
+    vocab = Vocab(["a", "b"])
+    config = McsConfig(vocab_size=len(vocab), embed_dim=2, hidden_dim=2, word_layers=1,
+                       sent_layers=1, max_sentences=2, max_words=2, max_target=2)
+    return McsModel.init(config, vocab), McsModel.load
+
+
+def _small_toy():
+    config = ToyModelConfig(vocab=4, d_model=2, n_heads=1, enc_layers=1, dec_layers=1,
+                            ffn_dim=2, pos_base_len=2, max_src=2, max_tgt=2, window=3)
+    return ToySeq2Seq.init(config), load_toy_model
+
+
+def _replace(**values):
+    """A spoil that overwrites those of ``values`` the stored config has."""
+    def spoil(meta):
+        meta["config"].update({k: v for k, v in values.items() if k in meta["config"]})
+    return spoil
+
+
+def _spoiled(model, path, spoil):
+    model.save(path)
+    tensors, meta = ckpt.load_tensors(path)
+    spoil(meta)
+    ckpt.save_tensors(path, tensors, meta)
+    return path
+
+
+@pytest.mark.parametrize("make", [_small_mcs, _small_toy], ids=["mcs", "toy"])
+class TestModelRestore:
+    def test_round_trip(self, tmp_path, make):
+        model, load = make()
+        model.save(tmp_path / "m.lsnt")
+        loaded = load(tmp_path / "m.lsnt")
+        assert loaded.config == model.config
+        assert list(loaded.params) == list(model.params)
+        for name, tensor in model.params.items():
+            np.testing.assert_array_equal(loaded.params[name].data, tensor.data)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda meta: meta.pop("config"),
+        lambda meta: meta.update(config=[1, 2]),
+        lambda meta: meta["config"].update(bogus=1),
+        _replace(window="wide", gamma="high"),
+        _replace(max_sentences=0, max_src=0),
+        _replace(hidden_dim=None, d_model=None),
+        lambda meta: meta.update(kind="other"),
+    ], ids=["no-config", "config-list", "unknown-key", "bad-value", "zero-size",
+            "null-size", "other-kind"])
+    def test_bad_metadata_raises_format_error(self, tmp_path, make, spoil):
+        model, load = make()
+        with pytest.raises(FormatError):
+            load(_spoiled(model, tmp_path / "m.lsnt", spoil))
+
+    def test_shape_mismatch_raises_format_error(self, tmp_path, make):
+        model, load = make()
+        path = tmp_path / "m.lsnt"
+        model.save(path)
+        tensors, meta = ckpt.load_tensors(path)
+        name = next(iter(tensors))
+        tensors[name] = np.ones(tensors[name].size + 1)
+        ckpt.save_tensors(path, tensors, meta)
+        with pytest.raises(FormatError, match="shape"):
+            load(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bit_flip_loads_or_raises_format_error(self, tmp_path, make, data):
+        model, load = make()
+        path = tmp_path / "m.lsnt"
+        model.save(path)
+        blob = bytearray(path.read_bytes())
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        blob[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(blob))
+        try:
+            load(path)
+        except FormatError:
+            pass
+
+
+@pytest.mark.parametrize("vocab", [7, ["a", "a"], ["a"]], ids=["int", "duplicate", "short"])
+def test_bad_mcs_vocab_raises_format_error(tmp_path, vocab):
+    model, load = _small_mcs()
+    with pytest.raises(FormatError):
+        load(_spoiled(model, tmp_path / "m.lsnt", lambda meta: meta.update(vocab=vocab)))

@@ -1,14 +1,18 @@
 """Command surface: formats, exit codes, determinism, round-trips."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from longspan import costmodel
+from longspan.checkpoint import load_tensors, save_tensors
 from longspan.cli import main
-from longspan.corpus import make_synthetic_corpus, write_corpus
+from longspan.corpus import Document, Example, make_synthetic_corpus, write_corpus
 
 
 def run(capsys, *argv):
@@ -265,6 +269,96 @@ class TestTrainScoreEvaluate:
         code, report = run_json(capsys, "evaluate", "--input", str(path))
         assert code == 0
         assert abs(report["r2"]["recall"] - 0.5) < 1e-12
+
+
+def read_jsonl(path):
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def check_scores_and_selection(corpus_path, scores_path, sel_path, max_sentences):
+    """One score row per sentence, clipped ones ranked last; no failed select line."""
+    rows = read_jsonl(scores_path)
+    docs = read_jsonl(corpus_path)
+    for doc, picked in zip(docs, read_jsonl(sel_path)):
+        mine = [r for r in rows if r["id"] == doc["id"]]
+        assert [r["sentence_index"] for r in mine] == list(range(len(doc["sentences"])))
+        fused = [r["fused"] for r in mine]
+        for i in range(max_sentences, len(fused)):
+            assert mine[i]["z_hat"] == mine[i]["attn_mass"] == 0.0
+            assert fused[i] < min(fused[:max_sentences])
+            assert fused[i] < min(fused[max_sentences:i], default=np.inf)
+        assert "error" not in picked
+    assert len(rows) == sum(len(doc["sentences"]) for doc in docs)
+
+
+class TestClippingContract:
+    def test_readme_pipeline(self, capsys, tmp_path):
+        corpus, ckpt = tmp_path / "corpus.jsonl", tmp_path / "model.lsnt"
+        scores, picked = tmp_path / "scores.jsonl", tmp_path / "picked.jsonl"
+        assert run(capsys, "make-corpus", "--output", str(corpus), "--docs", "20",
+                   "--seed", "7")[0] == 0
+        code, report = run_json(
+            capsys, "train-mcs", "--input", str(corpus), "--output", str(ckpt),
+            "--steps", "20", "--warmup", "10", "--gamma", "0.2", "--seed", "3",
+            "--embed-dim", "16", "--hidden-dim", "16", "--max-sentences", "8",
+            "--max-words", "6", "--max-target", "12")
+        assert code == 0 and report["steps_run"] == 20
+        assert max(len(doc["sentences"]) for doc in read_jsonl(corpus)) > 8
+        assert run(capsys, "score", "--input", str(corpus), "--checkpoint", str(ckpt),
+                   "--output", str(scores))[0] == 0
+        code, report = run_json(capsys, "select", "--input", str(corpus),
+                                "--output", str(picked), "--method", "mcs",
+                                "--budget", "14", "--checkpoint", str(ckpt))
+        assert code == 0 and report["failed_lines"] == 0
+        check_scores_and_selection(corpus, scores, picked, 8)
+
+    sentence = st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta", "eps"]),
+                        min_size=1, max_size=5)
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(docs=st.lists(st.lists(sentence, min_size=1, max_size=6), min_size=2, max_size=4))
+    def test_documents_around_the_limits(self, capsys, docs):
+        # limits of 3 sentences and 3 words: drawn documents fall on both sides of each.
+        # select's %Recall needs one sentence with a reference bigram somewhere.
+        docs[0] = [["alpha", "beta"]] + docs[0]
+        examples = [Example(Document(sentences, id=f"d{i}"), ["alpha", "beta"])
+                    for i, sentences in enumerate(docs)]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            corpus, ckpt = tmp / "corpus.jsonl", tmp / "model.lsnt"
+            write_corpus(corpus, examples)
+            code, report = run_json(
+                capsys, "train-mcs", "--input", str(corpus), "--output", str(ckpt),
+                "--steps", "2", "--warmup", "1", "--embed-dim", "4", "--hidden-dim", "4",
+                "--word-layers", "1", "--sent-layers", "1", "--max-sentences", "3",
+                "--max-words", "3", "--max-target", "4")
+            assert code == 0 and report["steps_run"] == 2
+            assert run(capsys, "score", "--input", str(corpus), "--checkpoint", str(ckpt),
+                       "--output", str(tmp / "scores.jsonl"))[0] == 0
+            code, report = run_json(capsys, "select", "--input", str(corpus),
+                                    "--output", str(tmp / "picked.jsonl"),
+                                    "--method", "mcs", "--budget", "6",
+                                    "--checkpoint", str(ckpt))
+            assert code == 0 and report["failed_lines"] == 0
+            check_scores_and_selection(corpus, tmp / "scores.jsonl", tmp / "picked.jsonl", 3)
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("spoil", ["config", "truncate"])
+    def test_score_exits_1_without_traceback(self, capsys, tmp_path, corpus_path, spoil):
+        ckpt = train_tiny(capsys, corpus_path, tmp_path, steps="2")
+        if spoil == "config":
+            tensors, meta = load_tensors(ckpt)
+            meta["config"]["bogus"] = 1
+            save_tensors(ckpt, tensors, meta)
+        else:
+            ckpt.write_bytes(ckpt.read_bytes()[:-3])
+        code = main(["score", "--input", str(corpus_path), "--checkpoint", str(ckpt),
+                     "--output", str(tmp_path / "scores.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestMakeCorpusAndReproducibility:

@@ -11,16 +11,6 @@ from longspan.metrics import ngram_recall
 
 
 class TestDocument:
-    def test_from_strings_tokenizes(self):
-        doc = corpus.Document.from_strings(["Hello, World!", "Two words"])
-        assert doc.sentences == [["hello", "world"], ["two", "words"]]
-        assert doc.total_words == 4
-        assert doc.word_counts == [2, 2]
-
-    def test_from_text_splits_sentences(self):
-        doc = corpus.Document.from_text("First one. Second here!\nThird line")
-        assert doc.n_sentences == 3
-
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             corpus.Document([])

@@ -358,6 +358,18 @@ class TestRankFusion:
         assert ranking.indices == expected
         assert (scores.attn_mass >= 0).all()
 
+    def test_clipped_sentences_are_scored_and_ranked_last(self):
+        model = tiny_model(seed=19, max_sentences=3)
+        doc = doc_of("w1 w2", "w3 w4", "w5 w6", "w7 w8", "w9 w10")
+        scores, ranking = model.inference_scores(doc)
+        assert len(scores.fused) == len(scores.z_hat) == len(scores.attn_mass) == 5
+        assert (scores.z_hat[3:] == 0.0).all() and (scores.attn_mass[3:] == 0.0).all()
+        assert (scores.z_hat[:3] > 0.0).all() and (scores.attn_mass[:3] > 0.0).all()
+        assert ranking.indices[3:] == [3, 4]
+        expected = sorted(range(5), key=lambda i: (-scores.fused[i], i))
+        assert ranking.indices == expected
+        assert len(scores.to_records(doc.id)) == 5
+
 
 class TestLossFiniteness:
     def test_all_losses_finite_on_random_inputs(self):
@@ -447,6 +459,19 @@ class TestTraining:
         first = np.mean([h["train_loss"] for h in result.history[:10]])
         last = np.mean([h["train_loss"] for h in result.history[-10:]])
         assert last <= 0.5 * first
+
+    def test_clipped_documents_train_and_warn_once_each(self, caplog):
+        examples = make_synthetic_corpus(4, seed=25, n_sentences=(6, 7),
+                                         words_per_sentence=(3, 5))
+        model = tiny_model(Vocab.build(examples), seed=26, max_sentences=4, max_words=4)
+        settings = mcs.TrainSettings(steps=6, batch_size=2, warmup=2, lr_scale=0.05,
+                                     seed=5, val_fraction=0.25, val_every=2)
+        with caplog.at_level("WARNING", logger="longspan.mcs"):
+            result = mcs.train(model, examples, gamma=0.5, settings=settings)
+        assert result.steps_run == 6
+        clipped = [r for r in caplog.records if "clipped" in r.getMessage()]
+        assert len(clipped) == len(examples)
+        assert {r.args[0] for r in clipped} == {ex.doc.id for ex in examples}
 
     def test_deterministic_under_seed(self):
         examples = make_synthetic_corpus(6, seed=24, n_sentences=(3, 4),
