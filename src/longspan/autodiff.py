@@ -318,12 +318,9 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| cannot overflow; each sign takes its own stable form
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -354,21 +351,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(ad, lo, hi)
     inside = (ad >= lo) & (ad <= hi)
     return _apply(out, (a,), lambda g: (g * inside,))
-
-
-def where(cond: Array, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select by a boolean numpy mask (not differentiable in cond)."""
-    cond = np.asarray(cond, dtype=bool)
-    out = np.where(cond, a.data, b.data)
-    ash, bsh = a.shape, b.shape
-    return _apply(
-        out,
-        (a, b),
-        lambda g: (
-            _unbroadcast(np.where(cond, g, 0.0), ash),
-            _unbroadcast(np.where(cond, 0.0, g), bsh),
-        ),
-    )
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -440,16 +422,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
     return _apply(out, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=axis)))
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return _apply(out, tuple(tensors), bwd)
 
 
 def getitem(a: Tensor, idx) -> Tensor:
@@ -701,6 +673,41 @@ class GruParams:
         )
 
 
+def _gru_forward(xd: Array, hd: Array, params: GruParams) -> tuple[Array, tuple]:
+    """One row-batched GRU step on arrays: (new state, cache for :func:`_gru_backward`)."""
+    r = _sigmoid(xd @ params.wx_r.data + hd @ params.wh_r.data + params.b_r.data)
+    z = _sigmoid(xd @ params.wx_z.data + hd @ params.wh_z.data + params.b_z.data)
+    c = hd @ params.wh_n.data
+    n = np.tanh(xd @ params.wx_n.data + r * c + params.b_n.data)
+    return (1.0 - z) * n + z * hd, (xd, hd, r, z, c, n)
+
+
+def _gru_backward(g: Array, cache: tuple, params: GruParams) -> tuple[Array, Array, tuple]:
+    """Adjoint of :func:`_gru_forward`: (d x, d h_prev, parameter grads in FIELDS order)."""
+    xd, hd, r, z, c, n = cache
+    wxr, whr = params.wx_r.data, params.wh_r.data
+    wxz, whz = params.wx_z.data, params.wh_z.data
+    wxn, whn = params.wx_n.data, params.wh_n.data
+    dn = g * (1.0 - z)
+    dz = g * (hd - n)
+    dh = g * z
+    dan = dn * (1.0 - n * n)
+    dxd = dan @ wxn.T
+    dwxn = xd.T @ dan
+    dbn = dan.sum(axis=0)
+    dr = dan * c
+    dc = dan * r
+    dh = dh + dc @ whn.T
+    dwhn = hd.T @ dc
+    dar = dr * r * (1.0 - r)
+    daz = dz * z * (1.0 - z)
+    dxd = dxd + dar @ wxr.T + daz @ wxz.T
+    dh = dh + dar @ whr.T + daz @ whz.T
+    dwxr, dwhr, dbr = xd.T @ dar, hd.T @ dar, dar.sum(axis=0)
+    dwxz, dwhz, dbz = xd.T @ daz, hd.T @ daz, daz.sum(axis=0)
+    return dxd, dh, (dwxr, dwhr, dbr, dwxz, dwhz, dbz, dwxn, dwhn, dbn)
+
+
 def gru_cell(x: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:
     """One GRU step; ``x`` and ``h_prev`` are 1-D or row-batched 2-D."""
     squeeze = x.ndim == 1
@@ -713,45 +720,66 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:
             f"gru_cell feature dims (x {x.shape}, h {h_prev.shape}) do not match "
             f"params (d_in={params.d_in}, d_h={params.d_h})"
         )
-
-    wxr, whr, br = params.wx_r.data, params.wh_r.data, params.b_r.data
-    wxz, whz, bz = params.wx_z.data, params.wh_z.data, params.b_z.data
-    wxn, whn, bn = params.wx_n.data, params.wh_n.data, params.b_n.data
-
-    r = _sigmoid(xd @ wxr + hd @ whr + br)
-    z = _sigmoid(xd @ wxz + hd @ whz + bz)
-    c = hd @ whn
-    n = np.tanh(xd @ wxn + r * c + bn)
-    out = (1.0 - z) * n + z * hd
+    out, cache = _gru_forward(xd, hd, params)
 
     def bwd(g):
+        dxd, dh, dparams = _gru_backward(g[None, :] if squeeze else g, cache, params)
         if squeeze:
-            g = g[None, :]
-        dn = g * (1.0 - z)
-        dz = g * (hd - n)
-        dh = g * z
-        dan = dn * (1.0 - n * n)
-        dxd = dan @ wxn.T
-        dwxn = xd.T @ dan
-        dbn = dan.sum(axis=0)
-        dr = dan * c
-        dc = dan * r
-        dh = dh + dc @ whn.T
-        dwhn = hd.T @ dc
-        dar = dr * r * (1.0 - r)
-        daz = dz * z * (1.0 - z)
-        dxd = dxd + dar @ wxr.T + daz @ wxz.T
-        dh = dh + dar @ whr.T + daz @ whz.T
-        dwxr, dwhr, dbr = xd.T @ dar, hd.T @ dar, dar.sum(axis=0)
-        dwxz, dwhz, dbz = xd.T @ daz, hd.T @ daz, daz.sum(axis=0)
-        if squeeze:
-            dxd = dxd[0]
-            dh = dh[0]
-        return (dxd, dh, dwxr, dwhr, dbr, dwxz, dwhz, dbz, dwxn, dwhn, dbn)
+            dxd, dh = dxd[0], dh[0]
+        return (dxd, dh) + dparams
 
-    outdata = out[0] if squeeze else out
-    inputs = (x, h_prev) + params.tensors()
-    return _apply(outdata, inputs, bwd)
+    return _apply(out[0] if squeeze else out, (x, h_prev) + params.tensors(), bwd)
+
+
+def gru_sequence(x: Tensor, mask: Array, params: GruParams,
+                 reverse: bool = False) -> tuple[Tensor, Tensor]:
+    """GRU over axis 1 of ``x`` [rows x steps x d_in] from a zero state, as one op.
+
+    Steps run left to right, or right to left with ``reverse``.  Where
+    ``mask`` [rows x steps] is False the state passes through unchanged,
+    so each row's final state is its state after its last valid step in
+    running order.  Returns (states [rows x steps x d_h], final
+    [rows x d_h]); the final state is a slice of the states.
+
+    Backpropagation through time runs inside the one record, latest
+    step first, and sums each parameter's gradient in that order.
+    """
+    xd = x.data
+    mask = np.asarray(mask, dtype=bool)
+    if xd.ndim != 3 or mask.shape != xd.shape[:2] or xd.shape[1] < 1:
+        raise DimensionError(f"gru_sequence got x {x.shape}, mask {mask.shape}")
+    if xd.shape[2] != params.d_in:
+        raise DimensionError(f"gru_sequence input dim {xd.shape[2]} does not match "
+                             f"params (d_in={params.d_in})")
+    rows, steps, _ = xd.shape
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    states = np.empty((rows, steps, params.d_h))
+    caches = []
+    h = np.zeros((rows, params.d_h))
+    for j in order:
+        h_new, cache = _gru_forward(xd[:, j], h, params)
+        h = np.where(mask[:, j : j + 1], h_new, h)
+        states[:, j] = h
+        caches.append((j, cache))
+
+    def bwd(g):
+        dx = np.zeros_like(xd)
+        dparams = None
+        passed = carried = np.zeros((rows, params.d_h))
+        for j, cache in reversed(caches):
+            # gradient of the state after step j: its own output, the masked
+            # pass-through to the next step, then the next step's cell input
+            g_state = (g[:, j] + passed) + carried
+            keep = mask[:, j : j + 1]
+            passed = np.where(keep, 0.0, g_state)
+            dx[:, j], carried, step_grads = _gru_backward(np.where(keep, g_state, 0.0),
+                                                          cache, params)
+            dparams = step_grads if dparams is None else tuple(
+                total + part for total, part in zip(dparams, step_grads))
+        return (dx,) + dparams
+
+    out = _apply(states, (x,) + params.tensors(), bwd)
+    return out, getitem(out, (slice(None), 0 if reverse else steps - 1))
 
 
 # ---------------------------------------------------------------------------

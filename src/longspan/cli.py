@@ -194,11 +194,13 @@ def cmd_select(args) -> int:
         report["pct_aggressive_oracle"] = 100.0 * selection.aggressive_fraction(
             [ex for ex, _ in with_refs], args.budget
         )
-        report["pct_recall"] = mcs.recall_rate(
+        recall = mcs.recall_rate(
             [s for _, s in with_refs],
             [ex.doc for ex, _ in with_refs],
             [ex.reference for ex, _ in with_refs],
         )
+        if recall is not None:  # None: no sentence overlaps its reference
+            report["pct_recall"] = recall
     report_path = args.report_file or (args.output + ".report.json")
     _write_json(report_path, report)
 
@@ -207,6 +209,7 @@ def cmd_select(args) -> int:
         yield f"mean words used: {rep['mean_words_used']:.2f} / {rep['budget']}"
         if "pct_aggressive_oracle" in rep:
             yield f"%AgORC: {rep['pct_aggressive_oracle']:.2f}"
+        if "pct_recall" in rep:
             yield f"%Recall: {rep['pct_recall']:.2f}"
         if rep["failed_lines"]:
             yield f"failed lines: {rep['failed_lines']}"
@@ -344,8 +347,9 @@ def cmd_evaluate(args) -> int:
     totals = {"r1": [], "r2": [], "rl": []}
     count = 0
     for line_no, record in iter_jsonl(args.input):
-        if "candidate" not in record or "reference" not in record:
-            raise FormatError(f"line {line_no}: needs 'candidate' and 'reference'")
+        if not (isinstance(record, dict) and isinstance(record.get("candidate"), str)
+                and isinstance(record.get("reference"), str)):
+            raise FormatError(f"line {line_no}: needs 'candidate' and 'reference' strings")
         cand = tokenize(record["candidate"])
         ref = tokenize(record["reference"])
         for key, score in rouge_suite(cand, ref).items():

@@ -97,18 +97,24 @@ def iter_jsonl(path, on_error: Callable[[int, FormatError], None] | None = None
                ) -> Iterator[tuple[int, dict]]:
     """Yield (line_no, record) pairs of the non-blank lines.
 
-    A line that is not JSON raises FormatError or, given ``on_error``, is
-    passed to it as ``(line_no, error)`` and skipped.
+    A file that cannot be opened raises FormatError.  A line that is not
+    UTF-8 JSON raises FormatError or, given ``on_error``, is passed to it
+    as ``(line_no, error)`` and skipped.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    with handle:
         for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                error = FormatError(f"line {line_no}: invalid JSON ({exc.msg})")
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "not UTF-8"
+                error = FormatError(f"line {line_no}: invalid JSON ({reason})")
                 if on_error is None:
                     raise error from exc
                 on_error(line_no, error)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,6 +109,19 @@ class Encoded:
 
 
 @dataclass
+class DecoderMemory:
+    """What every decoder step reads: document projections and the recurrence (h = hidden)."""
+
+    sent_keys: Tensor          # [h, N1]: sentence scores are state @ sent_keys
+    word_keys: Tensor          # [h, N1*J]: word scores are state @ word_keys
+    words: Tensor              # [N1*J, h] word states, one row per (sentence, word)
+    word_mask: np.ndarray      # [N1, J] bool
+    comb_w: Tensor             # [2h, h]
+    out_w: Tensor              # [h, V]
+    gru: GruParams             # the decoder's recurrence
+
+
+@dataclass
 class McsScores:
     """Per-sentence raw channels and their rank-fused combination."""
 
@@ -133,6 +146,13 @@ class BeamResult:
     logprob: float
     score: float                 # length-penalized
     sent_attn: np.ndarray        # [decoded steps x N1], includes the end step
+
+
+class _Hypothesis(NamedTuple):
+    tokens: list[int]
+    logprob: float
+    step: int       # decode step that produced the last token (-1: none yet)
+    row: int        # its row in that step's batch
 
 
 def rank_normalize(scores: np.ndarray) -> np.ndarray:
@@ -256,23 +276,8 @@ class McsModel:
         final state at its first.  Returns (states [rows, steps, 2*half],
         final_forward, final_backward).
         """
-        rows, steps, _ = x.shape
-        half = self.config.hidden_dim // 2
-        fwd = self._gru(f"{prefix}.f")
-        bwd = self._gru(f"{prefix}.b")
-
-        def run(params: GruParams, order):
-            h = Tensor(np.zeros((rows, half)))
-            per_step: dict[int, Tensor] = {}
-            for j in order:
-                xj = ad.getitem(x, (slice(None), j))
-                h_new = ad.gru_cell(xj, h, params)
-                h = ad.where(mask[:, j : j + 1], h_new, h)
-                per_step[j] = h
-            return ad.stack([per_step[j] for j in range(steps)], axis=1), h
-
-        states_f, final_f = run(fwd, range(steps))
-        states_b, final_b = run(bwd, range(steps - 1, -1, -1))
+        states_f, final_f = ad.gru_sequence(x, mask, self._gru(f"{prefix}.f"))
+        states_b, final_b = ad.gru_sequence(x, mask, self._gru(f"{prefix}.b"), reverse=True)
         return ad.concat([states_f, states_b], axis=2), final_f, final_b
 
     def encode(self, doc: Document, training: bool = False,
@@ -324,41 +329,58 @@ class McsModel:
         raw = ad.add(ad.matmul(sent_states, self.params["cls.w"]), self.params["cls.b"])
         return ad.sigmoid(raw)
 
-    def _decoder_start(self, enc: Encoded) -> Tensor:
-        return ad.tanh(ad.add(ad.matmul(self.params["dec.init.w"], enc.summary),
-                              self.params["dec.init.b"]))
-
-    def _decode_step(self, prev_id: int, state: Tensor, enc: Encoded) -> tuple[Tensor, Tensor, Tensor]:
-        """One decoder step: returns (new state, vocabulary logits, sentence attention)."""
+    def _decoder_start(self, enc: Encoded) -> tuple[Tensor, DecoderMemory]:
+        """Initial state [1, h] and the document projections every decode step reads."""
         p = self.params
-        emb = ad.getitem(p["embed"], int(prev_id))
-        state = ad.gru_cell(emb, state, self._gru("dec.gru"))
-        sent_query = ad.matmul(p["dec.att_sent.w"], state)        # [h]
-        sent_scores = ad.matmul(enc.sent_states, sent_query)      # [N1]
-        alpha = ad.masked_softmax(sent_scores, np.ones(enc.n_sentences, dtype=bool))
-        word_query = ad.matmul(p["dec.att_word.w"], state)        # [h]
-        word_scores = ad.matmul(enc.word_states, word_query)      # [N1, J]
-        beta = ad.masked_softmax(word_scores, enc.word_mask)      # per-sentence rows
-        weights = ad.mul(ad.reshape(alpha, (enc.n_sentences, 1)), beta)
-        context = ad.tsum(
-            ad.mul(ad.reshape(weights, (*weights.shape, 1)), enc.word_states),
-            axis=(0, 1),
+        h = self.config.hidden_dim
+        n1, j_max, _ = enc.word_states.shape
+        words = ad.reshape(enc.word_states, (n1 * j_max, h))
+        memory = DecoderMemory(
+            sent_keys=ad.transpose(ad.matmul(enc.sent_states, p["dec.att_sent.w"])),
+            word_keys=ad.transpose(ad.matmul(words, p["dec.att_word.w"])),
+            words=words,
+            word_mask=enc.word_mask,
+            comb_w=ad.transpose(p["dec.comb.w"]),
+            out_w=ad.transpose(p["dec.out.w"]),
+            gru=self._gru("dec.gru"),
         )
-        feat = ad.tanh(ad.add(ad.matmul(p["dec.comb.w"], ad.concat([state, context])),
+        state = ad.tanh(ad.add(ad.matmul(p["dec.init.w"], enc.summary), p["dec.init.b"]))
+        return ad.reshape(state, (1, h)), memory
+
+    def _decode_step(self, prev_ids, state: Tensor,
+                     memory: DecoderMemory) -> tuple[Tensor, Tensor, Tensor]:
+        """One decoder step for B hypotheses at once.
+
+        ``prev_ids`` holds each hypothesis's previous token and ``state`` is
+        [B, h].  Returns (new state [B, h], vocabulary logits [B, V],
+        sentence attention [B, N1]).
+        """
+        p = self.params
+        n1, j_max = memory.word_mask.shape
+        emb = ad.getitem(p["embed"], np.asarray(prev_ids, dtype=np.intp))        # [B, e]
+        state = ad.gru_cell(emb, state, memory.gru)
+        b = state.shape[0]
+        alpha = ad.masked_softmax(ad.matmul(state, memory.sent_keys),
+                                  np.ones(n1, dtype=bool))                     # [B, N1]
+        word_scores = ad.reshape(ad.matmul(state, memory.word_keys), (b, n1, j_max))
+        beta = ad.masked_softmax(word_scores, memory.word_mask)                 # per-sentence rows
+        weights = ad.mul(ad.reshape(alpha, (b, n1, 1)), beta)
+        context = ad.matmul(ad.reshape(weights, (b, n1 * j_max)), memory.words)  # [B, h]
+        feat = ad.tanh(ad.add(ad.matmul(ad.concat([state, context], axis=1), memory.comb_w),
                               p["dec.comb.b"]))
-        logits = ad.add(ad.matmul(p["dec.out.w"], feat), p["dec.out.b"])
+        logits = ad.add(ad.matmul(feat, memory.out_w), p["dec.out.b"])
         return state, logits, alpha
 
     def _teacher_forced(self, enc: Encoded, target_ids: Sequence[int]) -> tuple[Tensor, Tensor]:
-        state = self._decoder_start(enc)
+        state, memory = self._decoder_start(enc)
         prev = Vocab.BOS
         logit_rows, attn_rows = [], []
         for target in target_ids:
-            state, logits, alpha = self._decode_step(prev, state, enc)
+            state, logits, alpha = self._decode_step([prev], state, memory)
             logit_rows.append(logits)
             attn_rows.append(alpha)
             prev = int(target)
-        return ad.stack(logit_rows), ad.stack(attn_rows)
+        return ad.concat(logit_rows), ad.concat(attn_rows)
 
     # -- losses ---------------------------------------------------------------
 
@@ -456,66 +478,78 @@ class McsModel:
 
     def _beam_from_encoded(self, enc: Encoded, width: int, length_penalty: float,
                            min_len: int, max_len: int, no_repeat_ngram: int) -> BeamResult:
-        start = self._decoder_start(enc)
-        live = [
-            {"tokens": [], "logprob": 0.0, "state": start, "attn": []}
-        ]
-        finished: list[dict] = []
+        """Beam decode that steps every live hypothesis as one batch.
+
+        Each step's candidates are, in live-beam order, the ``width + 1``
+        best next tokens of each hypothesis (stable order, banned tokens
+        dropped); a stable sort by log-probability then fills the finished
+        pool (end token, at most ``width`` over the whole search) and the
+        next live beam (at most ``width``).  A hypothesis is its tokens,
+        log-probability and the decode row that produced its last token;
+        its attention rows are read back through the rows' parents.
+        """
+        state, memory = self._decoder_start(enc)
+        attn_steps: list[np.ndarray] = []      # [rows at step t, N1] per step
+        parent_steps: list[np.ndarray] = []    # each row's row at step t - 1
+        live = [_Hypothesis([], 0.0, -1, -1)]
+        finished: list[_Hypothesis] = []
 
         def final_score(logprob: float, n_tokens: int) -> float:
             return logprob / (max(n_tokens, 1) ** length_penalty)
 
-        for _ in range(max_len):
-            candidates = []
-            for beam in live:
-                prev = beam["tokens"][-1] if beam["tokens"] else Vocab.BOS
-                state, logits, alpha = self._decode_step(prev, beam["state"], enc)
-                logp = logits.data - logits.data.max()
-                logp = logp - np.log(np.exp(logp).sum())
-                if len(beam["tokens"]) + 1 < min_len:
-                    logp[Vocab.EOS] = -np.inf
-                for banned in self._banned_next(beam["tokens"], no_repeat_ngram):
-                    logp[banned] = -np.inf
-                order = np.argsort(-logp, kind="stable")[: width + 1]
-                for token in order:
-                    token = int(token)
-                    if not np.isfinite(logp[token]):
-                        continue
-                    candidates.append({
-                        "tokens": beam["tokens"] + [token],
-                        "logprob": beam["logprob"] + float(logp[token]),
-                        "state": state,
-                        "attn": beam["attn"] + [alpha.data.copy()],
-                    })
-            candidates.sort(key=lambda c: -c["logprob"])
-            live = []
-            for cand in candidates:
-                if cand["tokens"][-1] == Vocab.EOS:
+        for step in range(max_len):
+            prev = [hyp.tokens[-1] if hyp.tokens else Vocab.BOS for hyp in live]
+            state, logits, alpha = self._decode_step(prev, state, memory)
+            attn_steps.append(alpha.data)
+            parent_steps.append(np.array([hyp.row for hyp in live]))
+            logp = logits.data - logits.data.max(axis=1, keepdims=True)
+            logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+            if step + 1 < min_len:
+                logp[:, Vocab.EOS] = -np.inf
+            for row, hyp in enumerate(live):
+                logp[row, list(self._banned_next(hyp.tokens, no_repeat_ngram))] = -np.inf
+            order = np.argsort(-logp, axis=1, kind="stable")[:, : width + 1]
+            picked = np.take_along_axis(logp, order, axis=1)
+            finite = np.isfinite(picked)   # masks read row-major: beam order, then rank
+            cand_rows = np.nonzero(finite)[0]
+            totals = np.array([hyp.logprob for hyp in live])[cand_rows] + picked[finite]
+            by_logprob = np.argsort(-totals, kind="stable")
+            survivors = []
+            for row, token, total in zip(cand_rows[by_logprob].tolist(),
+                                         order[finite][by_logprob].tolist(),
+                                         totals[by_logprob].tolist()):
+                hyp = _Hypothesis(live[row].tokens + [token], total, step, row)
+                if token == Vocab.EOS:
                     if len(finished) < width:
-                        finished.append(cand)
-                elif len(live) < width:
-                    live.append(cand)
-                if len(live) >= width and len(finished) >= width:
+                        finished.append(hyp)
+                elif len(survivors) < width:
+                    survivors.append(hyp)
+                if len(survivors) >= width and len(finished) >= width:
                     break
+            live = survivors
             if not live:
                 break
+            state = ad.getitem(state, np.array([hyp.row for hyp in live]))
 
         pool = finished + live
         if not pool:
             raise DomainError("beam search produced no hypotheses")
         best = max(
             enumerate(pool),
-            key=lambda item: (final_score(item[1]["logprob"], len(item[1]["tokens"])),
-                              -item[0]),
+            key=lambda item: (final_score(item[1].logprob, len(item[1].tokens)), -item[0]),
         )[1]
-        ended = bool(best["tokens"]) and best["tokens"][-1] == Vocab.EOS
-        tokens = best["tokens"][:-1] if ended else list(best["tokens"])
+        rows, step, row = [], best.step, best.row
+        while step >= 0:
+            rows.append(attn_steps[step][row])
+            row = parent_steps[step][row]
+            step -= 1
+        ended = bool(best.tokens) and best.tokens[-1] == Vocab.EOS
         return BeamResult(
-            tokens=tokens,
+            tokens=best.tokens[:-1] if ended else best.tokens,
             ended=ended,
-            logprob=best["logprob"],
-            score=final_score(best["logprob"], len(best["tokens"])),
-            sent_attn=np.vstack(best["attn"]) if best["attn"] else np.zeros((0, enc.n_sentences)),
+            logprob=best.logprob,
+            score=final_score(best.logprob, len(best.tokens)),
+            sent_attn=np.vstack(rows[::-1]) if rows else np.zeros((0, enc.n_sentences)),
         )
 
     def inference_scores(self, doc: Document, width: int = 4,
@@ -551,10 +585,11 @@ class McsModel:
 # ---------------------------------------------------------------------------
 
 
-def recall_rate(selections, docs, references) -> float:
+def recall_rate(selections, docs, references) -> float | None:
     """Mean percentage of positive-overlap sentences retained by the selections.
 
-    Documents with no positive-overlap sentence are excluded from the mean.
+    Documents with no positive-overlap sentence are excluded from the mean;
+    None if that leaves none.
     """
     rates = []
     for selection, doc, reference in zip(selections, docs, references):
@@ -564,9 +599,7 @@ def recall_rate(selections, docs, references) -> float:
             continue
         kept = positive.intersection(selection.indices)
         rates.append(len(kept) / len(positive))
-    if not rates:
-        raise InputError("no document has a positive-overlap sentence")
-    return 100.0 * float(np.mean(rates))
+    return 100.0 * float(np.mean(rates)) if rates else None
 
 
 def random_selection_recall(examples: Sequence[Example], budget: int,
@@ -584,7 +617,10 @@ def random_selection_recall(examples: Sequence[Example], budget: int,
             )
             docs.append(ex.doc)
             refs.append(ex.reference)
-        rates.append(recall_rate(selections, docs, refs))
+        rate = recall_rate(selections, docs, refs)
+        if rate is None:
+            raise InputError("no document has a positive-overlap sentence")
+        rates.append(rate)
     return float(np.mean(rates))
 
 

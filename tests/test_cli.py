@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from longspan import costmodel
@@ -359,6 +359,108 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+FUZZ_WORDS = ["alpha", "beta", "gamma", "delta"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    corpus, ckpt = tmp / "corpus.jsonl", tmp / "model.lsnt"
+    write_corpus(corpus, [Example(Document([FUZZ_WORDS[:2], FUZZ_WORDS[1:]]), FUZZ_WORDS[:2])])
+    code = main(["train-mcs", "--input", str(corpus), "--output", str(ckpt), "--steps", "1",
+                 "--embed-dim", "4", "--hidden-dim", "4", "--word-layers", "1",
+                 "--sent-layers", "1", "--val-fraction", "0", "--report", "json"])
+    assert code == 0
+    return ckpt
+
+
+class TestInputFuzz:
+    """Every subcommand that reads --input ends with exit 0, 1 or 2 and no traceback."""
+
+    words = st.lists(st.sampled_from(FUZZ_WORDS), min_size=1, max_size=4)
+    text = words.map(" ".join)
+    json_value = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                     max_size=3),
+        max_leaves=5)
+    document = st.fixed_dictionaries({"sentences": st.lists(text | words, min_size=1, max_size=4),
+                                      "reference": text | words},
+                                     optional={"id": st.text(max_size=3)})
+    pair = st.fixed_dictionaries({"candidate": text, "reference": text})
+    # a valid record with one field replaced by any JSON value
+    wrong_type = st.tuples(document | pair, json_value).flatmap(
+        lambda rv: st.sampled_from(sorted(rv[0])).map(lambda key: {**rv[0], key: rv[1]}))
+    line = st.one_of(
+        (document | pair | wrong_type).map(json.dumps),
+        json_value.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
+        st.sampled_from(["{", "nope", '{"sentences": [', "[1,", "{'id': 1}"]),
+    )
+
+    @staticmethod
+    def argv(command, src, tmp, ckpt):
+        out = ["--output", str(tmp / "out.jsonl")]
+        return {
+            "select": ["select", "--input", src, *out, "--method", "orc-pad-rand",
+                       "--budget", "3"],
+            "select-mcs": ["select", "--input", src, *out, "--method", "mcs", "--budget", "3",
+                           "--checkpoint", str(ckpt)],
+            "evaluate": ["evaluate", "--input", src],
+            "train-mcs": ["train-mcs", "--input", src, "--output", str(tmp / "m.lsnt"),
+                          "--steps", "1", "--embed-dim", "2", "--hidden-dim", "2",
+                          "--word-layers", "1", "--sent-layers", "1", "--val-fraction", "0"],
+            "score": ["score", "--input", src, "--checkpoint", str(ckpt), *out],
+        }[command] + ["--report", "json"]
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["select", "select-mcs", "evaluate", "train-mcs", "score"]),
+           lines=st.lists(line, min_size=1, max_size=4), missing=st.booleans())
+    @example(command="evaluate", lines=['{"candidate": "a", "reference": "a"}', "5"],
+             missing=False)
+    @example(command="evaluate", lines=['{"candidate": 3, "reference": "a b"}'], missing=False)
+    @example(command="select", lines=['{"sentences": ["alpha"], "reference": "beta"}'],
+             missing=False)
+    @example(command="train-mcs", lines=["{}"], missing=True)
+    def test_exit_code_and_no_traceback(self, capsys, fuzz_checkpoint, command, lines, missing):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            src = tmp / ("absent.jsonl" if missing else "input.jsonl")
+            if not missing:
+                src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                code = main(self.argv(command, str(src), tmp, fuzz_checkpoint))
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error: ") or command.startswith("select")
+        if command == "evaluate" and code == 1 and not missing:
+            assert err.startswith("error: line ")
+        if missing:
+            assert code == 1 and err.startswith("error: cannot read")
+        elif command.startswith("select"):
+            # every line is selected or reported; exit 1 only for failed lines
+            report = json.loads(out)
+            assert report["documents"] + report["failed_lines"] == len(lines)
+            assert code == (1 if report["failed_lines"] else 0)
+
+    def test_select_without_overlap_reports_no_recall(self, capsys, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [Example(Document([["alpha"], ["beta"]], id="a"), ["gamma", "delta"]),
+                            Example(Document([["gamma"]], id="b"), ["alpha"])])
+        code, report = run_json(capsys, "select", "--input", str(path), "--output",
+                                str(tmp_path / "out.jsonl"), "--method", "orc-pad-rand",
+                                "--budget", "3")
+        assert code == 0 and report["documents"] == 2
+        assert "pct_recall" not in report and "pct_aggressive_oracle" in report
+        code, text = run(capsys, "select", "--input", str(path), "--output",
+                         str(tmp_path / "out.jsonl"), "--method", "orc-pad-rand", "--budget", "3")
+        assert code == 0 and "%AgORC" in text and "%Recall" not in text
 
 
 class TestMakeCorpusAndReproducibility:

@@ -252,12 +252,12 @@ class TestBeamSearch:
         # greedy oracle: argmax step by step
         with ad.no_grad():
             enc = model.encode(doc)
-            state = model._decoder_start(enc)
+            state, memory = model._decoder_start(enc)
             prev = Vocab.BOS
             expected = []
             for _ in range(5):
-                state, logits, _ = model._decode_step(prev, state, enc)
-                token = int(np.argmax(logits.data))
+                state, logits, _ = model._decode_step([prev], state, memory)
+                token = int(np.argmax(logits.data[0]))
                 if token == Vocab.EOS:
                     break
                 expected.append(token)
