@@ -22,7 +22,7 @@ from .attention import (
     multi_head_attention,
     uniform_attention_distance,
 )
-from .autodiff import GruParams, Tape, Tensor, backward, finite_diff_grad, gru_cell, masked_softmax, matmul
+from .autodiff import GruParams, Tape, Tensor, finite_diff_grad, gru_cell, masked_softmax, matmul
 from .corpus import Document, Example, Vocab, load_corpus, make_synthetic_corpus, write_corpus
 from .costmodel import (
     CostCoefficients,
@@ -54,7 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "errors", "__version__",
     # tensors
-    "Tensor", "Tape", "GruParams", "backward", "finite_diff_grad", "gru_cell",
+    "Tensor", "Tape", "GruParams", "finite_diff_grad", "gru_cell",
     "masked_softmax", "matmul",
     # attention
     "FULL", "AttentionMap", "ToyModelConfig", "ToySeq2Seq",

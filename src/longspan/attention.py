@@ -5,11 +5,12 @@ around each query position (boundary rows simply see fewer neighbors);
 decoder self-attention stays causal and cross-attention stays full.  An
 integer window runs the encoder through :func:`autodiff.banded_attention`,
 which holds scores as an [H x N x 2h+1] band (h = W // 2), so training time
-and memory grow with N * W rather than N^2.  A ``"full"`` window, the
-decoder and cross-attention use the dense masked product
-(:func:`multi_head_attention`), which with :func:`build_local_mask` is also
-the reference the band is tested against.  Only the diagnostic
-:meth:`ToySeq2Seq.encoder_forward` expands the band into [H x N x N] maps.
+and memory grow with N * W rather than N^2.  A ``"full"`` window and
+cross-attention use the dense product (:func:`multi_head_attention`) with
+no mask; only decoder self-attention passes one (:func:`causal_mask`).
+The dense product under :func:`build_local_mask` is the reference the band
+is tested against.  Only the diagnostic :meth:`ToySeq2Seq.encoder_forward`
+expands the band into [H x N x N] maps.
 
 Positional rows beyond the base table are produced by palindromic tiling
 (copy, then flipped copy, alternating), so adjacent blocks meet at equal
@@ -19,7 +20,7 @@ rows and the transition is smooth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,12 +64,8 @@ class AttentionMap:
                 raise ContractError("nonzero attention outside the local window")
         object.__setattr__(self, "weights", w)
 
-    @property
-    def n_heads(self) -> int:
-        return self.weights.shape[0]
-
     def mean_distances(self) -> list[float]:
-        return [mean_attention_distance(self.weights[h]) for h in range(self.n_heads)]
+        return [mean_attention_distance(head) for head in self.weights]
 
 
 def build_local_mask(n: int, window: int | str) -> np.ndarray:
@@ -149,7 +146,7 @@ def multi_head_attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    mask: np.ndarray,
+    mask: np.ndarray | None,
     params: AttentionParams,
     n_heads: int,
 ) -> tuple[Tensor, Tensor]:
@@ -157,14 +154,14 @@ def multi_head_attention(
 
     Returns the projected output [Nq x d_model] and the attention weights
     [heads x Nq x Nk] for diagnostics.  Rows of ``mask`` must each permit
-    at least one key.
+    at least one key; ``mask=None`` permits every key.
     """
     qh, kh, vh = _project_heads(q, k, v, params, n_heads)
     scores = ad.mul(
         ad.matmul(qh, ad.transpose(kh, (0, 2, 1))),
         ad.Tensor(np.float64(1.0 / math.sqrt(qh.shape[-1]))),
     )
-    attn = ad.masked_softmax(scores, mask[None, :, :])
+    attn = ad.masked_softmax(scores, None if mask is None else mask[None, :, :])
     return _merge_heads(ad.matmul(attn, vh), params), attn
 
 
@@ -208,14 +205,12 @@ def extend_positional_embedding(base: Tensor, target_len: int) -> Tensor:
     return ad.getitem(base, rows)
 
 
-def mean_attention_distance(weights, n: int | None = None) -> float:
+def mean_attention_distance(weights) -> float:
     """Attention-weighted average of |i - j| over one head's [N x N] map."""
     w = weights.data if isinstance(weights, Tensor) else np.asarray(weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise DimensionError(f"expected a square attention map, got {w.shape}")
     size = w.shape[0]
-    if n is not None and n != size:
-        raise DimensionError(f"declared N={n} does not match map size {size}")
     row_sums = w.sum(axis=-1)
     if np.abs(row_sums - 1.0).max() > ROW_SUM_TOL:
         raise ContractError(
@@ -264,15 +259,6 @@ class ToyModelConfig:
             raise DomainError("d_model must be divisible by n_heads")
         if not _is_full(self.window) and int(self.window) < 1:
             raise DomainError(f"window must be >= 1 or '{FULL}'")
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab": self.vocab, "d_model": self.d_model, "n_heads": self.n_heads,
-            "enc_layers": self.enc_layers, "dec_layers": self.dec_layers,
-            "ffn_dim": self.ffn_dim, "pos_base_len": self.pos_base_len,
-            "max_src": self.max_src, "max_tgt": self.max_tgt,
-            "window": self.window, "bos_id": self.bos_id,
-        }
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -361,32 +347,20 @@ class ToySeq2Seq:
             table = extend_positional_embedding(table, cfg.max_src)
         return ad.getitem(table, np.arange(n))
 
-    def _block_forward(self, prefix: str, x: Tensor, mask: np.ndarray | None,
-                       cross_states: Tensor | None = None,
-                       cross_mask: np.ndarray | None = None):
-        """One post-norm block; ``mask=None`` bands self-attention at the model's window.
-
-        Returns the block output and its self-attention weights: dense
-        [heads x N x N] under a mask, the [heads x N x 2h+1] band otherwise.
-        """
+    def _block_forward(self, prefix: str, x: Tensor, attn_out: Tensor,
+                       cross_states: Tensor | None = None) -> Tensor:
+        """The rest of one post-norm block, given its self-attention output ``attn_out``."""
         p = self.params
-        params, heads = self._attn_params(f"{prefix}.attn"), self.config.n_heads
-        if mask is None:
-            attn_out, attn = banded_multi_head_attention(x, x, x, self.config.window,
-                                                         params, heads)
-        else:
-            attn_out, attn = multi_head_attention(x, x, x, mask, params, heads)
         x = layer_norm(ad.add(x, attn_out), p[f"{prefix}.ln_a.g"], p[f"{prefix}.ln_a.b"])
         if cross_states is not None:
             xatt_out, _ = multi_head_attention(
-                x, cross_states, cross_states, cross_mask,
-                self._attn_params(f"{prefix}.xattn"), heads,
+                x, cross_states, cross_states, None,
+                self._attn_params(f"{prefix}.xattn"), self.config.n_heads,
             )
             x = layer_norm(ad.add(x, xatt_out), p[f"{prefix}.ln_x.g"], p[f"{prefix}.ln_x.b"])
         h = ad.gelu(ad.add(ad.matmul(x, p[f"{prefix}.ffn.w1"]), p[f"{prefix}.ffn.b1"]))
         ffn = ad.add(ad.matmul(h, p[f"{prefix}.ffn.w2"]), p[f"{prefix}.ffn.b2"])
-        x = layer_norm(ad.add(x, ffn), p[f"{prefix}.ln_f.g"], p[f"{prefix}.ln_f.b"])
-        return x, attn
+        return layer_norm(ad.add(x, ffn), p[f"{prefix}.ln_f.g"], p[f"{prefix}.ln_f.b"])
 
     def encoder_forward(self, tokens, need_weights: bool = True) -> tuple[Tensor, list[Tensor]]:
         """Embed, add positions, run banded self-attention layers.
@@ -400,10 +374,15 @@ class ToySeq2Seq:
         n = ids.size
         x = ad.add(ad.getitem(self.params["embed"], ids), self._encoder_positions(n))
         full = _is_full(cfg.window)
-        mask = build_local_mask(n, FULL) if full else None
         attns: list[Tensor] = []
         for i in range(cfg.enc_layers):
-            x, attn = self._block_forward(f"enc.{i}", x, mask)
+            params = self._attn_params(f"enc.{i}.attn")
+            if full:
+                attn_out, attn = multi_head_attention(x, x, x, None, params, cfg.n_heads)
+            else:
+                attn_out, attn = banded_multi_head_attention(x, x, x, cfg.window, params,
+                                                             cfg.n_heads)
+            x = self._block_forward(f"enc.{i}", x, attn_out)
             if need_weights:
                 attns.append(attn if full else ad.band_to_dense(attn))
         return x, attns
@@ -424,9 +403,10 @@ class ToySeq2Seq:
             ad.getitem(self.params["pos_dec"], np.arange(m)),
         )
         self_mask = causal_mask(m)
-        cross = np.ones((m, enc_states.shape[0]), dtype=bool)
         for i in range(cfg.dec_layers):
-            x, _ = self._block_forward(f"dec.{i}", x, self_mask, enc_states, cross)
+            attn_out, _ = multi_head_attention(x, x, x, self_mask,
+                                               self._attn_params(f"dec.{i}.attn"), cfg.n_heads)
+            x = self._block_forward(f"dec.{i}", x, attn_out, enc_states)
         return ad.add(ad.matmul(x, self.params["out.w"]), self.params["out.b"])
 
     def loss(self, source, target) -> Tensor:
@@ -440,7 +420,7 @@ class ToySeq2Seq:
 
     def save(self, path) -> None:
         save_tensors(path, self.params,
-                     {"kind": self.CHECKPOINT_KIND, "config": self.config.to_dict()})
+                     {"kind": self.CHECKPOINT_KIND, "config": asdict(self.config)})
 
 
 def load_toy_model(path) -> ToySeq2Seq:

@@ -86,10 +86,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
@@ -98,69 +94,9 @@ class Tensor:
     def __float__(self) -> float:
         return self.item()
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def parameter(data) -> Tensor:
@@ -222,14 +158,6 @@ class Tape:
                 t.grad = None
 
 
-def backward(loss: Tensor, tape: Tape | None = None) -> None:
-    """Run reverse-mode accumulation for ``loss`` on ``tape`` (default: active)."""
-    tape = tape if tape is not None else active_tape()
-    if tape is None:
-        raise ContractError("backward called with no active tape")
-    tape.backward(loss)
-
-
 def _apply(outdata: Array, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor._wrap(outdata)
     tape = active_tape()
@@ -278,19 +206,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-    ad, bd = a.data, b.data
-    return _apply(
-        out,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / bd, ad.shape),
-            _unbroadcast(-g * ad / (bd * bd), bd.shape),
-        ),
-    )
-
-
 def neg(a: Tensor) -> Tensor:
     return _apply(-a.data, (a,), lambda g: (-g,))
 
@@ -300,11 +215,6 @@ def power(a: Tensor, p: float) -> Tensor:
     ad = a.data
     out = ad**p
     return _apply(out, (a,), lambda g: (g * p * ad ** (p - 1.0),))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _apply(out, (a,), lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -492,15 +402,18 @@ def _check_rows_permitted(mask: Array) -> None:
         raise DegenerateRowError(f"softmax row {tuple(int(i) for i in bad)} has no permitted entry")
 
 
-def masked_softmax(logits: Tensor, mask: Array) -> Tensor:
+def masked_softmax(logits: Tensor, mask: Array | None) -> Tensor:
     """Row softmax over the last axis with hard masking.
 
     Masked entries come out exactly 0; each row of permitted entries sums
     to 1.  Stabilized by subtracting the row max over permitted entries.
+    ``mask=None`` permits every entry.
     """
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
-    _check_rows_permitted(mask)
-    shifted = np.where(mask, logits.data, -np.inf)
+    shifted = logits.data
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
+        _check_rows_permitted(mask)
+        shifted = np.where(mask, shifted, -np.inf)
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)  # masked entries: exp(-inf) == 0 exactly
     denom = expd.sum(axis=-1, keepdims=True)
@@ -511,10 +424,6 @@ def masked_softmax(logits: Tensor, mask: Array) -> Tensor:
         return (out * (g - inner),)
 
     return _apply(out, (logits,), bwd)
-
-
-def softmax(logits: Tensor) -> Tensor:
-    return masked_softmax(logits, np.ones(logits.shape, dtype=bool))
 
 
 def _band_diagonals(n: int, half: int):
@@ -594,10 +503,9 @@ def log_softmax(logits: Tensor) -> Tensor:
     shifted = x - m
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
-    probs = np.exp(out)
 
     def bwd(g):
-        return (g - probs * g.sum(axis=-1, keepdims=True),)
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
     return _apply(out, (logits,), bwd)
 
@@ -788,24 +696,23 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams,
 
 
 class Adam:
-    """Adaptive-moment descent over a fixed set of parameter tensors.
+    """Adaptive-moment descent over a model's name -> parameter map.
 
     Parameters whose grad is ``None`` at :meth:`step` are skipped entirely,
     so unused heads keep their initial values (no weight decay).
     """
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if isinstance(params, dict):
-            params = list(params.values())
-        self.params: list[Tensor] = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor]):
+        self.params: list[Tensor] = list(params.values())
         self.m = [np.zeros(p.shape) for p in self.params]
         self.v = [np.zeros(p.shape) for p in self.params]
         self.t = 0
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for i, p in enumerate(self.params):
@@ -816,7 +723,7 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / bias1
             v_hat = self.v[i] / bias2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
     def zero_grads(self) -> None:
         for p in self.params:
@@ -828,12 +735,6 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-def _scalar(value) -> float:
-    if isinstance(value, Tensor):
-        return value.item()
-    return float(value)
-
-
 def finite_diff_grad(f: Callable[[Tensor], object], x: Tensor, h: float = 1e-5) -> Tensor:
     """Central-difference gradient of scalar ``f`` at ``x``: (f(x+h) - f(x-h)) / 2h per coordinate."""
     base = x.data.copy()
@@ -842,21 +743,9 @@ def finite_diff_grad(f: Callable[[Tensor], object], x: Tensor, h: float = 1e-5) 
     with no_grad():
         for idx in np.ndindex(*base.shape):
             probe.data[idx] = base[idx] + h
-            fp = _scalar(f(probe))
+            fp = float(f(probe))
             probe.data[idx] = base[idx] - h
-            fm = _scalar(f(probe))
+            fm = float(f(probe))
             probe.data[idx] = base[idx]
             out[idx] = (fp - fm) / (2.0 * h)
     return Tensor(out)
-
-
-def finite_diff_coordinate(f: Callable[[], object], t: Tensor, idx, h: float = 1e-5) -> float:
-    """Central difference of ``f()`` w.r.t. one coordinate of ``t`` (mutates and restores it)."""
-    orig = t.data[idx]
-    with no_grad():
-        t.data[idx] = orig + h
-        fp = _scalar(f())
-        t.data[idx] = orig - h
-        fm = _scalar(f())
-        t.data[idx] = orig
-    return (fp - fm) / (2.0 * h)

@@ -14,6 +14,7 @@ seed) triple produces byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -53,20 +54,62 @@ def _write_json(path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# cost-model
+# argument types: a bad value is a usage error (exit 2)
 # ---------------------------------------------------------------------------
 
 
-def _parse_grid(spec: str) -> list[tuple[int, int | None]]:
+def _integer(text: str, at_least: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < at_least:
+        raise argparse.ArgumentTypeError(f"must be >= {at_least}, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    return _integer(text, at_least=1)
+
+
+def _seed(text: str) -> int:
+    return _integer(text, at_least=0)
+
+
+# analyze-attention keeps one [heads x N x N] float64 map per layer: 512 MiB at 4 heads
+_MAX_PROBE = 4096
+
+
+def _probe_length(text: str) -> int:
+    value = _positive(text)
+    if value > _MAX_PROBE:
+        raise argparse.ArgumentTypeError(f"must be <= {_MAX_PROBE}, got {value}")
+    return value
+
+
+def _window(text: str) -> int | str:
+    """A band width >= 1, or ``full``."""
+    return attention.FULL if text.lower() == attention.FULL else _positive(text)
+
+
+def _grid(spec: str) -> list[tuple[int, int | None]]:
+    """Comma list of ``N:W`` candidates; W empty or ``full`` means full attention."""
     grid = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         n_part, _, w_part = chunk.partition(":")
-        window = None if w_part.lower() in ("", "full") else int(w_part)
-        grid.append((int(n_part), window))
+        window = None if w_part.lower() in ("", "full") else _positive(w_part)
+        grid.append((_positive(n_part), window))
+    if not grid:
+        raise argparse.ArgumentTypeError("candidate grid is empty")
     return grid
+
+
+# ---------------------------------------------------------------------------
+# cost-model
+# ---------------------------------------------------------------------------
 
 
 def cmd_cost_model(args) -> int:
@@ -107,7 +150,7 @@ def cmd_cost_model(args) -> int:
         except FormatError:
             pass  # custom file covers one model kind only
     if args.grid:
-        grid = _parse_grid(args.grid)
+        grid = args.grid
         # a --coeff-file may cover one kind only: load each kind only if a candidate uses it
         points = costmodel.advise_operating_point(
             args.budget if args.budget is not None else float("inf"),
@@ -117,7 +160,7 @@ def cmd_cost_model(args) -> int:
             bart=coeffs(costmodel.KIND_BART) if any(w is None for _, w in grid) else None,
             lobart=coeffs(costmodel.KIND_LOBART) if any(w is not None for _, w in grid) else None,
         )
-        report["grid"] = [p.to_dict() for p in points]
+        report["grid"] = [dataclasses.asdict(p) for p in points]
 
     def text(rep):
         yield f"kind: {rep['kind']}"
@@ -224,22 +267,19 @@ def cmd_select(args) -> int:
 
 
 def cmd_analyze_attention(args) -> int:
-    raw_window = str(args.window)
-    window = attention.FULL if raw_window.lower() == attention.FULL else int(raw_window)
+    window = args.window
     if args.checkpoint:
         model = attention.load_toy_model(args.checkpoint)
         config = model.config
         if window != config.window:
-            config = attention.ToyModelConfig(**{**config.to_dict(), "window": window})
+            config = dataclasses.replace(config, window=window)
             model = attention.ToySeq2Seq(config, model.params)
     else:
-        base = attention.ToyModelConfig()
-        pos_base = base.pos_base_len
+        pos_base = attention.ToyModelConfig.pos_base_len
         max_src = max(args.N, pos_base)
         if max_src % pos_base:
             max_src += pos_base - (max_src % pos_base)
-        config = attention.ToyModelConfig(**{**base.to_dict(),
-                                             "window": window, "max_src": max_src})
+        config = attention.ToyModelConfig(window=window, max_src=max_src)
         model = attention.ToySeq2Seq.init(config, seed=args.seed)
     if args.N > config.max_src:
         raise UsageError(f"-N {args.N} exceeds the model's max source {config.max_src}")
@@ -415,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-B", "--batch", type=int, default=1)
     p.add_argument("--coeff-file", help="override bundled coefficients")
     p.add_argument("--budget", type=float, help="GiB budget for feasibility checks")
-    p.add_argument("--grid", help="comma list of N:W candidates (W empty or 'full')")
+    p.add_argument("--grid", type=_grid,
+                   help="comma list of N:W candidates (W empty or 'full')")
     add_report(p)
     p.set_defaults(func=cmd_cost_model)
 
@@ -425,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=("trc", "orc-no-pad", "orc-pad-lead", "orc-pad-rand", "mcs"))
     p.add_argument("--budget", type=int, required=True, help="word budget")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--checkpoint", help="model checkpoint (required for --method mcs)")
     p.add_argument("--report-file", help="sidecar stats path (default <output>.report.json)")
     add_report(p)
@@ -433,9 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-attention", help="mean attention distance per layer/head")
     p.add_argument("--checkpoint", help="toy model checkpoint; random init if omitted")
-    p.add_argument("-N", type=int, default=64, help="probe sequence length")
-    p.add_argument("--window", default=attention.FULL, help="band width or 'full'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-N", type=_probe_length, default=64, help="probe sequence length")
+    p.add_argument("--window", type=_window, default=attention.FULL,
+                   help="band width or 'full'")
+    p.add_argument("--seed", type=_seed, default=0)
     add_report(p)
     p.set_defaults(func=cmd_analyze_attention)
 
@@ -443,13 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="checkpoint path")
     p.add_argument("--gamma", type=float, default=0.2)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=2)
+    p.add_argument("--steps", type=_positive, default=500)
+    p.add_argument("--batch-size", type=_positive, default=2)
     p.add_argument("--warmup", type=int, default=100)
     p.add_argument("--lr-scale", type=float, default=0.002)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--val-fraction", type=float, default=0.2)
-    p.add_argument("--val-every", type=int, default=50)
+    p.add_argument("--val-every", type=_positive, default=50)
     p.add_argument("--patience", type=int, default=3)
     p.add_argument("--embed-dim", type=int, default=32)
     p.add_argument("--hidden-dim", type=int, default=64)
@@ -479,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-corpus", help="generate a seeded synthetic corpus")
     p.add_argument("--output", required=True)
     p.add_argument("--docs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--min-sentences", type=int, default=6)
     p.add_argument("--max-sentences", type=int, default=10)
     p.add_argument("--min-words", type=int, default=4)

@@ -167,15 +167,9 @@ class Vocab:
         unk = self.UNK
         return [self.index.get(t, unk) for t in tokens]
 
-    def decode(self, ids: Iterable[int]) -> list[str]:
-        return [self.tokens[i] for i in ids]
-
     def to_list(self) -> list[str]:
+        """The tokens after the specials; ``Vocab(to_list())`` rebuilds this vocabulary."""
         return list(self.tokens[len(self.SPECIALS):])
-
-    @classmethod
-    def from_list(cls, tokens: list[str]) -> "Vocab":
-        return cls(tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,17 @@ def _model(kind: str) -> _Model:
 
 
 def load_coefficient_file(path) -> dict[str, float]:
-    """Parse a flat ``name = value`` coefficient file ('#' starts a comment)."""
+    """Parse a flat ``name = value`` coefficient file ('#' starts a comment).
+
+    A file that cannot be read as UTF-8 text raises FormatError.
+    """
     values: dict[str, float] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -125,10 +133,6 @@ class CostCoefficients:
             raise FormatError(f"coefficient file is missing {exc.args[0]!r}") from exc
 
     @classmethod
-    def from_file(cls, path, kind: str) -> "CostCoefficients":
-        return cls.from_mapping(kind, load_coefficient_file(path))
-
-    @classmethod
     def defaults(cls, kind: str) -> "CostCoefficients":
         return cls.from_mapping(kind, _bundled_values())
 
@@ -150,10 +154,16 @@ class MemoryBreakdown:
                 "terms": dict(self.terms), "total_gib": self.total}
 
 
+# Largest size accepted: every product of sizes stays a finite float.
+_MAX_SIZE = 2**53
+
+
 def _check_positive(**kwargs: int) -> None:
     for name, value in kwargs.items():
         if int(value) != value or value < 1:
             raise DomainError(f"{name} must be a positive integer, got {value}")
+        if value > _MAX_SIZE:
+            raise DomainError(f"{name} must be at most 2^53, got {value}")
 
 
 def _memory(kind: str, coeffs: CostCoefficients | None, batch: int,
@@ -275,10 +285,6 @@ class OperatingPoint:
     window: int | None
     total_gib: float
     feasible: bool
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "window": self.window,
-                "total_gib": self.total_gib, "feasible": self.feasible}
 
 
 def advise_operating_point(

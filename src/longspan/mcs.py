@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,8 +51,7 @@ class McsConfig:
     """Dimensions and limits of the hierarchical model.
 
     ``hidden_dim`` is the concatenated bidirectional state size (each
-    direction carries half).  Defaults are desk-scale; ``full_scale``
-    gives the published configuration.
+    direction carries half).  Defaults are desk-scale.
     """
 
     vocab_size: int
@@ -80,21 +79,6 @@ class McsConfig:
             raise DomainError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 <= self.dropout < 1.0:
             raise DomainError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    @classmethod
-    def full_scale(cls, vocab_size: int) -> "McsConfig":
-        return cls(vocab_size=vocab_size, embed_dim=256, hidden_dim=512,
-                   max_sentences=1000, max_words=50, max_target=144)
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim, "word_layers": self.word_layers,
-            "sent_layers": self.sent_layers, "decoder_layers": self.decoder_layers,
-            "dropout": self.dropout, "gamma": self.gamma,
-            "max_sentences": self.max_sentences, "max_words": self.max_words,
-            "max_target": self.max_target,
-        }
 
 
 @dataclass
@@ -237,7 +221,7 @@ class McsModel:
     def save(self, path) -> None:
         meta = {
             "kind": CHECKPOINT_KIND,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "vocab": self.vocab.to_list(),
         }
         save_tensors(path, self.params, meta)
@@ -246,7 +230,7 @@ class McsModel:
     def load(cls, path) -> "McsModel":
         return restore(load_tensors(path), CHECKPOINT_KIND,
                        lambda meta: cls.init(McsConfig(**meta["config"]),
-                                             Vocab.from_list(meta["vocab"]), seed=0))
+                                             Vocab(meta["vocab"]), seed=0))
 
     # -- encoding -----------------------------------------------------------
 
@@ -360,8 +344,7 @@ class McsModel:
         emb = ad.getitem(p["embed"], np.asarray(prev_ids, dtype=np.intp))        # [B, e]
         state = ad.gru_cell(emb, state, memory.gru)
         b = state.shape[0]
-        alpha = ad.masked_softmax(ad.matmul(state, memory.sent_keys),
-                                  np.ones(n1, dtype=bool))                     # [B, N1]
+        alpha = ad.masked_softmax(ad.matmul(state, memory.sent_keys), None)     # [B, N1]
         word_scores = ad.reshape(ad.matmul(state, memory.word_keys), (b, n1, j_max))
         beta = ad.masked_softmax(word_scores, memory.word_mask)                 # per-sentence rows
         weights = ad.mul(ad.reshape(alpha, (b, n1, 1)), beta)
@@ -415,21 +398,13 @@ class McsModel:
         negated = ad.mul(Tensor(1.0 - labels), ad.log(ad.sub(Tensor(np.ones_like(labels)), z)))
         return ad.neg(ad.tsum(ad.add(pos, negated)))
 
-    def seq2seq_loss(self, doc: Document, target: Sequence,
-                     training: bool = False, rng=None) -> Tensor:
-        """Summed teacher-forced NLL of the target."""
-        enc = self.encode(doc, training=training, rng=rng)
-        return self._seq2seq_loss_from(enc, self._target_ids(target))
-
-    def label_loss(self, doc: Document, labels: np.ndarray,
-                   training: bool = False, rng=None) -> Tensor:
-        """Binary cross-entropy of the classifier over sentences."""
-        enc = self.encode(doc, training=training, rng=rng)
-        return self._label_loss_from(enc, labels)
-
     def mcs_loss(self, doc: Document, target: Sequence, labels: np.ndarray,
                  gamma: float | None = None, training: bool = False, rng=None) -> Tensor:
-        """Convex mix: gamma * labelling + (1 - gamma) * generation."""
+        """Convex mix: gamma * labelling + (1 - gamma) * generation.
+
+        Labelling is the classifier's binary cross-entropy over sentences;
+        generation is the summed teacher-forced NLL of the target.
+        """
         gamma = self.config.gamma if gamma is None else float(gamma)
         if not 0.0 <= gamma <= 1.0:
             raise DomainError(f"gamma must be in [0, 1], got {gamma}")
@@ -502,8 +477,7 @@ class McsModel:
             state, logits, alpha = self._decode_step(prev, state, memory)
             attn_steps.append(alpha.data)
             parent_steps.append(np.array([hyp.row for hyp in live]))
-            logp = logits.data - logits.data.max(axis=1, keepdims=True)
-            logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+            logp = ad.log_softmax(logits).data
             if step + 1 < min_len:
                 logp[:, Vocab.EOS] = -np.inf
             for row, hyp in enumerate(live):
@@ -571,7 +545,7 @@ class McsModel:
         attn_mass = np.concatenate([beam.sent_attn.sum(axis=0), tail])
         fused = rank_normalize(z_hat) + rank_normalize(attn_mass)
         order = sorted(range(doc.n_sentences), key=lambda i: (-fused[i], i))
-        ranking = Ranking(order, [float(fused[i]) for i in order], "model")
+        ranking = Ranking(order, [float(fused[i]) for i in order])
         return McsScores(z_hat, attn_mass, fused), ranking
 
     def fused_scores(self, doc: Document) -> list[float]:
@@ -652,8 +626,6 @@ class TrainSettings:
     val_fraction: float = 0.2
     val_every: int = 50
     patience: int = 3
-    beta1: float = 0.9
-    beta2: float = 0.999
 
 
 @dataclass
@@ -697,7 +669,7 @@ def train(model: McsModel, examples: Sequence[Example], gamma: float | None = No
     if not train_set:
         raise InputError("training split is empty")
 
-    optimizer = ad.Adam(model.parameters(), beta1=settings.beta1, beta2=settings.beta2)
+    optimizer = ad.Adam(model.parameters())
     history: list[dict] = []
     best_val = math.inf
     stale = 0

@@ -37,9 +37,6 @@ class RougeScore:
         f1 = 2.0 * precision * recall / denom if denom > 0 else 0.0
         return cls(precision, recall, f1)
 
-    def to_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
-
 
 def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
     if n < 1:

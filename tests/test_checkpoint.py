@@ -1,6 +1,7 @@
 """Named-tensor container round-trips and corruption handling."""
 
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -157,8 +158,29 @@ def _spoiled(model, path, spoil):
     return path
 
 
+# The config keys a checkpoint stores: a field added, removed or renamed in
+# McsConfig or ToyModelConfig changes the checkpoint format.
+STORED_CONFIG_KEYS = {
+    "McsConfig": ["decoder_layers", "dropout", "embed_dim", "gamma", "hidden_dim",
+                  "max_sentences", "max_target", "max_words", "sent_layers", "vocab_size",
+                  "word_layers"],
+    "ToyModelConfig": ["bos_id", "d_model", "dec_layers", "enc_layers", "ffn_dim", "max_src",
+                       "max_tgt", "n_heads", "pos_base_len", "vocab", "window"],
+}
+
+
 @pytest.mark.parametrize("make", [_small_mcs, _small_toy], ids=["mcs", "toy"])
 class TestModelRestore:
+    def test_config_round_trips_through_asdict(self, make):
+        model, _ = make()
+        assert type(model.config)(**asdict(model.config)) == model.config
+
+    def test_stored_config_keys_are_pinned(self, tmp_path, make):
+        model, _ = make()
+        model.save(tmp_path / "m.lsnt")
+        _, meta = ckpt.load_tensors(tmp_path / "m.lsnt")
+        assert sorted(meta["config"]) == STORED_CONFIG_KEYS[type(model.config).__name__]
+
     def test_round_trip(self, tmp_path, make):
         model, load = make()
         model.save(tmp_path / "m.lsnt")

@@ -123,6 +123,83 @@ class TestCostModel:
         assert "c_l_1" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def coeff_files(tmp_path_factory):
+    """Coefficient files of each kind a --coeff-file may name; ``missing`` is absent."""
+    root = tmp_path_factory.mktemp("coeffs")
+    bundled = Path(costmodel.__file__).with_name("data") / "memory_coefficients.txt"
+    (root / "valid").write_text(bundled.read_text())
+    (root / "bart-only").write_text("".join(line for line in bundled.read_text().splitlines(True)
+                                            if line.startswith("c_b_")))
+    (root / "malformed").write_text("c_b_1 6.0\n")
+    (root / "not-utf8").write_bytes(b"c_b_1 = \xff\xfe\n")
+    (root / "directory").mkdir()
+    return root
+
+
+class TestArgumentFuzz:
+    """cost-model and analyze-attention end with exit 0, 1 or 2 and no traceback."""
+
+    junk = st.sampled_from(["", "abc", "1.5", "1e3", "full", "FULL", "-", " 7", "0x10", "9:"])
+    value = st.integers(-3, 5000).map(str) | st.integers().map(str) | junk | st.text(max_size=4)
+    grid_item = st.tuples(value, st.sampled_from(["", ":"]), value | st.just("full")).map("".join)
+    grid = st.lists(grid_item, max_size=3).map(",".join) | junk
+    cost_model = st.tuples(
+        st.sampled_from(["bart", "lobart", "hier"]),
+        st.fixed_dictionaries({}, optional={"-N": value, "-M": value, "-W": value, "-N1": value,
+                                            "-N2": value, "-B": value, "--budget": value,
+                                            "--grid": grid}),
+    ).map(lambda kv: ["cost-model", "--kind", kv[0], *(x for kv2 in kv[1].items() for x in kv2)])
+    # probe lengths in 49..4096 are valid and only cost time (dense N x N maps)
+    probe_length = (st.integers(-5, 48) | st.integers(min_value=4097)).map(str) | junk
+    analyze = st.fixed_dictionaries(
+        {}, optional={"-N": probe_length, "--window": value, "--seed": value},
+    ).map(lambda opts: ["analyze-attention", *(x for kv in opts.items() for x in kv)])
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cost_model | analyze,
+           coeff=st.sampled_from([None, "missing", "valid", "bart-only", "malformed",
+                                  "not-utf8", "directory"]))
+    @example(argv=["analyze-attention", "--window", "abc"], coeff=None)
+    @example(argv=["analyze-attention", "-N", "-5"], coeff=None)
+    @example(argv=["analyze-attention", "-N", str(10**30)], coeff=None)
+    @example(argv=["analyze-attention", "--seed", "-1"], coeff=None)
+    @example(argv=["cost-model", "--kind", "bart", "-N", "10", "-M", "5", "--grid", "100:x"],
+             coeff=None)
+    @example(argv=["cost-model", "--kind", "bart", "-N", "10", "-M", "5", "--grid", "abc"],
+             coeff=None)
+    @example(argv=["cost-model", "--kind", "bart", "-N", "10", "-M", "5"], coeff="missing")
+    @example(argv=["cost-model", "--kind", "bart", "-N", "10", "-M", "5"], coeff="not-utf8")
+    @example(argv=["cost-model", "--kind", "bart", "-N", str(10**400), "-M", "5"], coeff=None)
+    def test_exit_code_and_no_traceback(self, capsys, coeff_files, argv, coeff):
+        if coeff is not None and argv[0] == "cost-model":
+            argv = argv + ["--coeff-file", str(coeff_files / coeff)]
+        try:
+            code = main(argv + ["--report", "json"])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out)
+        if code == 1:
+            assert err.startswith("error: ")
+        if argv[0] == "cost-model" and coeff in ("missing", "not-utf8", "directory") \
+                and code != 2:
+            assert code == 1 and err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--batch-size", "--val-every"])
+def test_train_counts_below_one_are_usage_errors(capsys, corpus_path, tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["train-mcs", "--input", str(corpus_path), "--output", str(tmp_path / "m.lsnt"),
+              flag, "0"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
 class TestSelect:
     def test_trc_all_fit_reproduces_documents(self, capsys, tmp_path, corpus_path):
         out = tmp_path / "sel.jsonl"

@@ -60,7 +60,7 @@ class TestVocab:
     def test_specials_and_lookup(self):
         vocab = corpus.Vocab(["beta", "alpha"])
         assert vocab.encode(["alpha", "unknown"]) == [vocab.index["alpha"], corpus.Vocab.UNK]
-        assert vocab.decode([corpus.Vocab.BOS]) == ["<bos>"]
+        assert vocab.tokens[corpus.Vocab.BOS] == "<bos>"
 
     def test_build_is_deterministic(self):
         examples = corpus.make_synthetic_corpus(4, seed=2)
@@ -70,7 +70,7 @@ class TestVocab:
 
     def test_round_trip_through_list(self):
         vocab = corpus.Vocab(["x", "y"])
-        again = corpus.Vocab.from_list(vocab.to_list())
+        again = corpus.Vocab(vocab.to_list())
         assert again.tokens == vocab.tokens
 
 

@@ -253,7 +253,7 @@ class TestCoefficientFile:
         path = tmp_path / "coeffs.txt"
         path.write_text("# test\nc_b_1 = 1.5\nc_b_2=0\nc_b_3 = 2e-3\n"
                         "c_b_4 = 0\nc_b_5 = 0\nc_b_6 = 1e-6\n")
-        coeffs = cm.CostCoefficients.from_file(path, cm.KIND_BART)
+        coeffs = cm.CostCoefficients.from_mapping(cm.KIND_BART, cm.load_coefficient_file(path))
         assert coeffs.values == (1.5, 0.0, 2e-3, 0.0, 0.0, 1e-6)
 
     def test_malformed_line(self, tmp_path):
@@ -266,7 +266,7 @@ class TestCoefficientFile:
         path = tmp_path / "partial.txt"
         path.write_text("c_b_1 = 6.0\n")
         with pytest.raises(FormatError):
-            cm.CostCoefficients.from_file(path, cm.KIND_BART)
+            cm.CostCoefficients.from_mapping(cm.KIND_BART, cm.load_coefficient_file(path))
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(DomainError):

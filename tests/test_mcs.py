@@ -34,6 +34,16 @@ def doc_of(*sentences):
     return Document([s.split() for s in sentences], id="d")
 
 
+def seq2seq_loss(model, doc, target):
+    """The generation term alone: the mixed loss at gamma 0 reads no labels."""
+    return model.mcs_loss(doc, target, None, gamma=0.0)
+
+
+def label_loss(model, doc, labels):
+    """The labelling term alone: the mixed loss at gamma 1 reads no target."""
+    return model.mcs_loss(doc, None, labels, gamma=1.0)
+
+
 class TestEncode:
     def test_sentence_state_count(self):
         model = tiny_model()
@@ -109,7 +119,7 @@ class TestSeq2SeqLoss:
         model.params["dec.out.b"].data[:] = 0.0
         doc = doc_of("w1 w2 w3", "w4 w5")
         target = ["w1", "w4", "w2"]
-        loss = model.seq2seq_loss(doc, target)
+        loss = seq2seq_loss(model, doc, target)
         assert abs(loss.item() - 3 * math.log(len(model.vocab))) < 1e-10
 
     def test_gradient_matches_finite_differences(self):
@@ -120,7 +130,7 @@ class TestSeq2SeqLoss:
         subset = [params["embed"], params["dec.gru.wx_n"], params["dec.att_sent.w"],
                   params["dec.att_word.w"], params["dec.comb.w"], params["dec.out.w"],
                   params["word.0.f.wh_z"], params["sent.0.b.wx_n"]]
-        check_grad_fd(lambda: model.seq2seq_loss(doc, target), subset, max_coords=3)
+        check_grad_fd(lambda: seq2seq_loss(model, doc, target), subset, max_coords=3)
 
     def test_overfit_single_pair_strictly_decreases(self):
         model = tiny_model(seed=6)
@@ -136,12 +146,12 @@ class TestSeq2SeqLoss:
     def test_overlong_target_rejected(self):
         model = tiny_model()
         with pytest.raises(InputError):
-            model.seq2seq_loss(doc_of("w1 w2"), ["w1"] * 99)
+            seq2seq_loss(model, doc_of("w1 w2"), ["w1"] * 99)
 
     def test_bad_target_id_rejected(self):
         model = tiny_model()
         with pytest.raises(InputError):
-            model.seq2seq_loss(doc_of("w1 w2"), [10**6])
+            seq2seq_loss(model, doc_of("w1 w2"), [10**6])
 
 
 class TestLabelLoss:
@@ -150,7 +160,7 @@ class TestLabelLoss:
         model.params["cls.w"].data[:] = 0.0
         model.params["cls.b"].data[()] = 0.0
         doc = doc_of("w1 w2", "w3 w4", "w5 w6")
-        loss = model.label_loss(doc, np.array([1.0, 0.0, 1.0]))
+        loss = label_loss(model, doc, np.array([1.0, 0.0, 1.0]))
         assert abs(loss.item() - 3 * math.log(2)) < 1e-12
 
     def test_confident_correct_predictions_near_zero(self):
@@ -158,7 +168,7 @@ class TestLabelLoss:
         model.params["cls.w"].data[:] = 0.0
         model.params["cls.b"].data[()] = 30.0  # z_hat ~ 1 everywhere
         doc = doc_of("w1 w2", "w3 w4")
-        loss = model.label_loss(doc, np.array([1.0, 1.0]))
+        loss = label_loss(model, doc, np.array([1.0, 1.0]))
         assert loss.item() < 1e-9
 
     def test_matches_scalar_recomputation(self):
@@ -173,7 +183,7 @@ class TestLabelLoss:
             labels[i] * math.log(z[i]) + (1 - labels[i]) * math.log(1 - z[i])
             for i in range(3)
         )
-        assert abs(model.label_loss(doc, labels).item() - expected) < 1e-12
+        assert abs(label_loss(model, doc, labels).item() - expected) < 1e-12
 
     def test_gradient(self):
         model = tiny_model(seed=8)
@@ -182,12 +192,12 @@ class TestLabelLoss:
         params = model.parameters()
         subset = [params["cls.w"], params["cls.b"], params["embed"],
                   params["sent.0.f.wh_n"]]
-        check_grad_fd(lambda: model.label_loss(doc, labels), subset, max_coords=4)
+        check_grad_fd(lambda: label_loss(model, doc, labels), subset, max_coords=4)
 
     def test_wrong_label_length(self):
         model = tiny_model()
         with pytest.raises(InputError):
-            model.label_loss(doc_of("w1 w2"), np.array([1.0, 0.0, 1.0]))
+            label_loss(model, doc_of("w1 w2"), np.array([1.0, 0.0, 1.0]))
 
 
 class TestMixedLoss:
@@ -200,14 +210,20 @@ class TestMixedLoss:
     def test_endpoints(self):
         label_only = self.model.mcs_loss(self.doc, self.target, self.labels, gamma=1.0)
         seq_only = self.model.mcs_loss(self.doc, self.target, self.labels, gamma=0.0)
-        assert label_only.item() == self.model.label_loss(self.doc, self.labels).item()
-        assert seq_only.item() == self.model.seq2seq_loss(self.doc, self.target).item()
+        other_target, other_labels = ["w2", "w3", "w4"], np.array([0.0, 1.0])
+        assert label_only.item() == label_loss(self.model, self.doc, self.labels).item()
+        assert label_only.item() == self.model.mcs_loss(self.doc, other_target, self.labels,
+                                                        gamma=1.0).item()
+        assert seq_only.item() == seq2seq_loss(self.model, self.doc, self.target).item()
+        assert seq_only.item() == self.model.mcs_loss(self.doc, self.target, other_labels,
+                                                      gamma=0.0).item()
+        assert label_only.item() != seq_only.item()
 
     def test_convex_combination(self):
         mixed = self.model.mcs_loss(self.doc, self.target, self.labels, gamma=0.2)
         expected = (
-            0.2 * self.model.label_loss(self.doc, self.labels).item()
-            + 0.8 * self.model.seq2seq_loss(self.doc, self.target).item()
+            0.2 * label_loss(self.model, self.doc, self.labels).item()
+            + 0.8 * seq2seq_loss(self.model, self.doc, self.target).item()
         )
         assert abs(mixed.item() - expected) < 1e-9
 
@@ -306,8 +322,7 @@ class TestBeamSearch:
                                      lr_scale=0.05, seed=2, val_fraction=0.0)
         mcs.train(model, [example], gamma=0.0, settings=settings)
         beam = model.beam_search(doc, width=4, min_len=1, max_len=6)
-        decoded = vocab.decode(beam.tokens)
-        assert decoded[:3] == target
+        assert beam.tokens[:3] == vocab.encode(target)
 
 
 class TestRankFusion:
@@ -396,7 +411,7 @@ class TestRecallRate:
         examples = make_synthetic_corpus(4, seed=20)
         selections = [
             sel.Selection(list(range(ex.doc.n_sentences)), 10**6,
-                          ex.doc.total_words, "trc")
+                          ex.doc.total_words)
             for ex in examples
         ]
         rate = mcs.recall_rate(selections,
@@ -407,14 +422,14 @@ class TestRecallRate:
     def test_disjoint_selection_is_zero(self):
         doc = doc_of("w1 w2", "w3 w4")
         ref = "w1 w2".split()
-        selections = [sel.Selection([1], 10, 2, "trc")]
+        selections = [sel.Selection([1], 10, 2)]
         assert mcs.recall_rate(selections, [doc], [ref]) == 0.0
 
     def test_docs_without_positive_sentences_excluded(self):
         doc_pos = doc_of("w1 w2", "w3 w4")
         doc_neg = doc_of("w5 w6")
         ref = "w1 w2".split()
-        selections = [sel.Selection([0], 10, 2, "trc"), sel.Selection([0], 10, 2, "trc")]
+        selections = [sel.Selection([0], 10, 2), sel.Selection([0], 10, 2)]
         rate = mcs.recall_rate(selections, [doc_pos, doc_neg], [ref, ref])
         assert rate == 100.0
 

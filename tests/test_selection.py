@@ -119,13 +119,13 @@ class TestTruncateAndSort:
 
     def test_restores_original_order(self):
         doc = doc_from_words("a b", "c d", "e f")
-        ranking = sel.Ranking([2, 0, 1], [3.0, 2.0, 1.0], "model")
+        ranking = sel.Ranking([2, 0, 1], [3.0, 2.0, 1.0])
         selection = sel.truncate_and_sort(doc, ranking, 4)
         assert selection.indices == [0, 2]
 
     def test_empty_ranking_is_valid_empty_selection(self):
         doc = doc_from_words("a b")
-        selection = sel.truncate_and_sort(doc, sel.Ranking([], [], "orc-no-pad"), 5)
+        selection = sel.truncate_and_sort(doc, sel.Ranking([], []), 5)
         assert selection.indices == [] and selection.words_used == 0
 
     def test_bad_budget(self):
@@ -136,19 +136,19 @@ class TestTruncateAndSort:
 class TestPadSelection:
     def test_full_core_unchanged(self):
         doc = doc_from_words("a b", "c d", "e f")
-        core = sel.Selection([1], 2, 2, "orc-no-pad")
+        core = sel.Selection([1], 2, 2)
         padded = sel.pad_selection(core, doc, "lead", 2)
         assert padded.indices == [1] and padded.words_used == 2
 
     def test_lead_padding_takes_leading_unselected(self):
         doc = doc_from_words("a b", "c d", "e f")
-        core = sel.Selection([2], 6, 2, "orc-no-pad")
+        core = sel.Selection([2], 6, 2)
         padded = sel.pad_selection(core, doc, "lead", 6)
         assert padded.indices == [0, 1, 2]
 
     def test_rand_padding_seeded_deterministic(self):
         doc = Document([[f"w{i}", "x"] for i in range(10)])
-        core = sel.Selection([4], 8, 2, "orc-no-pad")
+        core = sel.Selection([4], 8, 2)
         a = sel.pad_selection(core, doc, "rand", 8, seed=17)
         b = sel.pad_selection(core, doc, "rand", 8, seed=17)
         assert a.indices == b.indices
@@ -165,7 +165,7 @@ class TestPadSelection:
             core_idx = sorted(int(i) for i in order)
             words = sum(len(doc.sentences[i]) for i in core_idx)
             budget = max(words, int(rng.integers(1, doc.total_words + 3)))
-            core = sel.Selection(core_idx, budget, words, "orc-no-pad")
+            core = sel.Selection(core_idx, budget, words)
             for mode in ("lead", "rand"):
                 padded = sel.pad_selection(core, doc, mode, budget, seed=trial)
                 assert set(padded.indices) >= set(core.indices)
