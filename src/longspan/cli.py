@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -74,6 +75,17 @@ def _positive(text: str) -> int:
 
 def _seed(text: str) -> int:
     return _integer(text, at_least=0)
+
+
+def _gib(text: str) -> float:
+    """A finite memory budget > 0: NaN would reach the JSON report, which cannot hold it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 # analyze-attention keeps one [heads x N x N] float64 map per layer: 512 MiB at 4 heads
@@ -454,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N2", dest="n2", type=int, help="max words per sentence (hier)")
     p.add_argument("-B", "--batch", type=int, default=1)
     p.add_argument("--coeff-file", help="override bundled coefficients")
-    p.add_argument("--budget", type=float, help="GiB budget for feasibility checks")
+    p.add_argument("--budget", type=_gib, help="GiB budget for feasibility checks")
     p.add_argument("--grid", type=_grid,
                    help="comma list of N:W candidates (W empty or 'full')")
     add_report(p)
@@ -465,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--method", required=True,
                    choices=("trc", "orc-no-pad", "orc-pad-lead", "orc-pad-rand", "mcs"))
-    p.add_argument("--budget", type=int, required=True, help="word budget")
+    p.add_argument("--budget", type=_positive, required=True, help="word budget")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--checkpoint", help="model checkpoint (required for --method mcs)")
     p.add_argument("--report-file", help="sidecar stats path (default <output>.report.json)")

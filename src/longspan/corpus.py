@@ -196,6 +196,10 @@ def make_synthetic_corpus(
     """
     if n_docs < 1:
         raise InputError("n_docs must be >= 1")
+    for name, (low, high) in (("sentence count", n_sentences),
+                              ("sentence length", words_per_sentence)):
+        if not 1 <= low <= high:
+            raise InputError(f"{name} range needs 1 <= min <= max, got {low}..{high}")
     rng = np.random.default_rng(seed)
     examples = []
     for d in range(n_docs):

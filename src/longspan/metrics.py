@@ -8,6 +8,7 @@ texts processed by this module.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -44,11 +45,21 @@ def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+@functools.lru_cache(maxsize=8)
+def _reference_counts(reference: tuple[str, ...], n: int) -> tuple[Counter, int]:
+    """The reference's n-gram counter and total, shared by every caller: do not mutate.
+
+    Keyed by value, so the oracle ranking of one document counts its
+    reference once however many sentences it scores.
+    """
+    return ngram_counts(reference, n), max(len(reference) - n + 1, 0)
+
+
 def _clipped_matches(candidate: TokenSeq, reference: TokenSeq, n: int) -> tuple[int, int, int]:
-    cand = ngram_counts(candidate, n)
-    ref = ngram_counts(reference, n)
-    matched = sum(min(count, ref[gram]) for gram, count in cand.items())
-    return matched, sum(cand.values()), sum(ref.values())
+    ref, ref_total = _reference_counts(tuple(reference), n)
+    hits = [gram for gram in zip(*(candidate[i:] for i in range(n))) if gram in ref]
+    matched = sum(min(count, ref[gram]) for gram, count in Counter(hits).items()) if hits else 0
+    return matched, max(len(candidate) - n + 1, 0), ref_total
 
 
 def ngram_recall(candidate: TokenSeq, reference: TokenSeq, n: int) -> float:
@@ -65,19 +76,25 @@ def rouge_n(candidate: TokenSeq, reference: TokenSeq, n: int) -> RougeScore:
 
 
 def lcs_length(a: TokenSeq, b: TokenSeq) -> int:
-    """Longest common subsequence length by dynamic programming."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    """Longest common subsequence length, bit-parallel over ``b``.
+
+    The bit-vector recurrence of Allison & Dix (1986) and Hyyroe (2004):
+    after each token of ``a``, bit j of ``v`` is 0 exactly where the LCS
+    of the tokens read so far with ``b[: j + 1]`` is one longer than with
+    ``b[:j]``, so the length is the count of 0 bits.  ``& full`` drops the
+    carry out of bit ``len(b) - 1``.
+    """
+    masks: dict = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for tok in a:
+        m = masks.get(tok)
+        if m:  # a token absent from b leaves v unchanged
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: TokenSeq, reference: TokenSeq) -> RougeScore:

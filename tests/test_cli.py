@@ -137,6 +137,10 @@ def coeff_files(tmp_path_factory):
     return root
 
 
+def _reject_non_finite(constant):
+    raise AssertionError(f"{constant} is not valid JSON")
+
+
 class TestArgumentFuzz:
     """cost-model and analyze-attention end with exit 0, 1 or 2 and no traceback."""
 
@@ -172,6 +176,12 @@ class TestArgumentFuzz:
     @example(argv=["cost-model", "--kind", "bart", "-N", "10", "-M", "5"], coeff="missing")
     @example(argv=["cost-model", "--kind", "bart", "-N", "10", "-M", "5"], coeff="not-utf8")
     @example(argv=["cost-model", "--kind", "bart", "-N", str(10**400), "-M", "5"], coeff=None)
+    @example(argv=["cost-model", "--kind", "bart", "-N", "10", "-M", "5", "--budget", "nan"],
+             coeff=None)
+    @example(argv=["cost-model", "--kind", "bart", "-N", "10", "-M", "5", "--budget", "inf"],
+             coeff=None)
+    @example(argv=["cost-model", "--kind", "bart", "-N", "10", "-M", "5", "--budget", "-1"],
+             coeff=None)
     def test_exit_code_and_no_traceback(self, capsys, coeff_files, argv, coeff):
         if coeff is not None and argv[0] == "cost-model":
             argv = argv + ["--coeff-file", str(coeff_files / coeff)]
@@ -183,7 +193,7 @@ class TestArgumentFuzz:
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         if code == 0:
-            json.loads(out)
+            json.loads(out, parse_constant=_reject_non_finite)
         if code == 1:
             assert err.startswith("error: ")
         if argv[0] == "cost-model" and coeff in ("missing", "not-utf8", "directory") \
@@ -198,6 +208,16 @@ def test_train_counts_below_one_are_usage_errors(capsys, corpus_path, tmp_path, 
               flag, "0"])
     assert exc.value.code == 2
     assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_select_budget_below_one_is_usage_error(capsys, corpus_path, tmp_path, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["select", "--input", str(corpus_path), "--output", str(tmp_path / "s.jsonl"),
+              "--method", "trc", "--budget", budget])
+    assert exc.value.code == 2
+    assert "argument --budget: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 class TestSelect:
@@ -548,6 +568,15 @@ class TestMakeCorpusAndReproducibility:
                           "--docs", "6", "--seed", "13")
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("low, high", [("--min-sentences", "--max-sentences"),
+                                           ("--min-words", "--max-words")])
+    def test_inverted_or_empty_range_exits_1(self, capsys, tmp_path, low, high):
+        for lo, hi in (("5", "2"), ("0", "2")):
+            code = main(["make-corpus", "--output", str(tmp_path / "c.jsonl"), low, lo, high, hi])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error: ") and "1 <= min <= max" in err
 
     def test_full_pipeline_byte_identical(self, capsys, tmp_path):
         def pipeline(stem: str):

@@ -4,24 +4,51 @@ from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longspan import metrics
 from longspan.errors import DomainError
 
 
-def brute_force_ngram_recall(candidate, reference, n):
-    """Independent clipped-overlap count by explicit list walking."""
+def brute_force_matches(candidate, reference, n):
+    """Independent clipped-overlap count by explicit list walking:
+    (matched, candidate n-grams, reference n-grams)."""
     ref_grams = [tuple(reference[i : i + n]) for i in range(len(reference) - n + 1)]
     cand_grams = [tuple(candidate[i : i + n]) for i in range(len(candidate) - n + 1)]
-    if not ref_grams:
-        return 0.0
     matched = 0
     pool = list(ref_grams)
     for gram in cand_grams:
         if gram in pool:
             pool.remove(gram)
             matched += 1
-    return matched / len(ref_grams)
+    return matched, len(cand_grams), len(ref_grams)
+
+
+def brute_force_ngram_recall(candidate, reference, n):
+    matched, _, ref_total = brute_force_matches(candidate, reference, n)
+    return matched / ref_total if ref_total else 0.0
+
+
+def brute_force_ngram_precision(candidate, reference, n):
+    matched, cand_total, _ = brute_force_matches(candidate, reference, n)
+    return matched / cand_total if cand_total else 0.0
+
+
+def dp_lcs(a, b):
+    """Longest common subsequence length by the O(|a|·|b|) dynamic program."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
 
 
 def brute_force_lcs(a, b):
@@ -78,6 +105,22 @@ class TestNgramRecall:
                     brute_force_ngram_recall(cand, ref, n)
                 )
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), alphabet=st.integers(1, 6), n=st.integers(1, 3))
+    def test_exactly_brute_force_across_calls(self, data, alphabet, n):
+        # one reference list scored against several candidates, then mutated
+        # in place and scored again: a memo keyed by identity would go stale
+        tokens = st.lists(st.integers(0, alphabet - 1).map(str), max_size=24)
+        reference = data.draw(tokens)
+        for _ in range(data.draw(st.integers(1, 4))):
+            for candidate in data.draw(st.lists(tokens, min_size=1, max_size=4)):
+                recall = brute_force_ngram_recall(candidate, reference, n)
+                precision = brute_force_ngram_precision(candidate, reference, n)
+                assert metrics.ngram_recall(candidate, reference, n) == recall
+                assert metrics.rouge_n(candidate, reference, n) == \
+                    metrics.RougeScore.from_pr(precision, recall)
+            reference[:] = data.draw(tokens)
+
     def test_clipping_symmetry(self):
         rng = np.random.default_rng(12)
         alphabet = ["a", "b", "c"]
@@ -124,6 +167,20 @@ class TestRougeL:
         cand2 = "q a r c".split()
         ref2 = "a c".split()
         assert metrics.rouge_l(cand2, ref2).recall >= 2 / len(ref2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), alphabet=st.integers(1, 30))
+    def test_bit_parallel_equals_dynamic_program(self, data, alphabet):
+        # lengths up to 300 cross several 64-bit word boundaries of the bit vector
+        def seq():
+            size = data.draw(st.integers(0, 300))
+            return data.draw(st.lists(st.integers(0, alphabet - 1).map(str),
+                                      min_size=size, max_size=size))
+
+        a, b = seq(), seq()
+        want = dp_lcs(a, b)
+        assert metrics.lcs_length(a, b) == want
+        assert metrics.lcs_length(b, a) == want
 
     def test_random_pairs_up_to_len_8(self):
         rng = np.random.default_rng(13)
