@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -263,8 +263,8 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _apply(out, (a,), lambda g: (g * inside,))
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    if not training or rate <= 0.0:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    if rate <= 0.0:
         return a
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
@@ -639,9 +639,9 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:
     return _apply(out[0] if squeeze else out, (x, h_prev) + params.tensors(), bwd)
 
 
-def gru_sequence(x: Tensor, mask: Array, params: GruParams,
-                 reverse: bool = False) -> tuple[Tensor, Tensor]:
-    """GRU over axis 1 of ``x`` [rows x steps x d_in] from a zero state, as one op.
+def gru_sequence(x: Tensor, mask: Array, params: GruParams, reverse: bool = False,
+                 h0: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    """GRU over axis 1 of ``x`` [rows x steps x d_in] from ``h0`` [rows x d_h] or zeros, as one op.
 
     Steps run left to right, or right to left with ``reverse``.  Where
     ``mask`` [rows x steps] is False the state passes through unchanged,
@@ -660,10 +660,12 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams,
         raise DimensionError(f"gru_sequence input dim {xd.shape[2]} does not match "
                              f"params (d_in={params.d_in})")
     rows, steps, _ = xd.shape
+    if h0 is not None and h0.shape != (rows, params.d_h):
+        raise DimensionError(f"gru_sequence got h0 {h0.shape}, expected {(rows, params.d_h)}")
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     states = np.empty((rows, steps, params.d_h))
     caches = []
-    h = np.zeros((rows, params.d_h))
+    h = np.zeros((rows, params.d_h)) if h0 is None else h0.data
     for j in order:
         h_new, cache = _gru_forward(xd[:, j], h, params)
         h = np.where(mask[:, j : j + 1], h_new, h)
@@ -684,9 +686,9 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams,
                                                           cache, params)
             dparams = step_grads if dparams is None else tuple(
                 total + part for total, part in zip(dparams, step_grads))
-        return (dx,) + dparams
+        return (dx,) + dparams + (() if h0 is None else (passed + carried,))
 
-    out = _apply(states, (x,) + params.tensors(), bwd)
+    out = _apply(states, (x,) + params.tensors() + (() if h0 is None else (h0,)), bwd)
     return out, getitem(out, (slice(None), 0 if reverse else steps - 1))
 
 
@@ -728,24 +730,3 @@ class Adam:
     def zero_grads(self) -> None:
         for p in self.params:
             p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-# ---------------------------------------------------------------------------
-
-
-def finite_diff_grad(f: Callable[[Tensor], object], x: Tensor, h: float = 1e-5) -> Tensor:
-    """Central-difference gradient of scalar ``f`` at ``x``: (f(x+h) - f(x-h)) / 2h per coordinate."""
-    base = x.data.copy()
-    probe = Tensor(base)
-    out = np.zeros_like(base)
-    with no_grad():
-        for idx in np.ndindex(*base.shape):
-            probe.data[idx] = base[idx] + h
-            fp = float(f(probe))
-            probe.data[idx] = base[idx] - h
-            fm = float(f(probe))
-            probe.data[idx] = base[idx]
-            out[idx] = (fp - fm) / (2.0 * h)
-    return Tensor(out)

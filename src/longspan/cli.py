@@ -77,14 +77,26 @@ def _seed(text: str) -> int:
     return _integer(text, at_least=0)
 
 
-def _gib(text: str) -> float:
-    """A finite memory budget > 0: NaN would reach the JSON report, which cannot hold it."""
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
+def _positive_real(text: str) -> float:
+    """A finite number > 0: NaN cannot go into a JSON report, and a negative rate ascends."""
+    value = _number(text)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """A share in [0, 1)."""
+    value = _number(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1), got {text!r}")
     return value
 
 
@@ -384,8 +396,7 @@ def cmd_score(args) -> int:
     examples = load_corpus(args.input)
     lines = []
     for ex in examples:
-        scores, _ = model.inference_scores(ex.doc)
-        for record in scores.to_records(ex.doc.id):
+        for record in model.inference_scores(ex.doc).to_records(ex.doc.id):
             lines.append(json.dumps(record, ensure_ascii=False))
     Path(args.output).write_text("\n".join(lines) + ("\n" if lines else ""),
                                  encoding="utf-8")
@@ -466,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N2", dest="n2", type=int, help="max words per sentence (hier)")
     p.add_argument("-B", "--batch", type=int, default=1)
     p.add_argument("--coeff-file", help="override bundled coefficients")
-    p.add_argument("--budget", type=_gib, help="GiB budget for feasibility checks")
+    p.add_argument("--budget", type=_positive_real, help="GiB budget for feasibility checks")
     p.add_argument("--grid", type=_grid,
                    help="comma list of N:W candidates (W empty or 'full')")
     add_report(p)
@@ -499,12 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.2)
     p.add_argument("--steps", type=_positive, default=500)
     p.add_argument("--batch-size", type=_positive, default=2)
-    p.add_argument("--warmup", type=int, default=100)
-    p.add_argument("--lr-scale", type=float, default=0.002)
+    p.add_argument("--warmup", type=_positive, default=100)
+    p.add_argument("--lr-scale", type=_positive_real, default=0.002)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", type=_fraction, default=0.2)
     p.add_argument("--val-every", type=_positive, default=50)
-    p.add_argument("--patience", type=int, default=3)
+    p.add_argument("--patience", type=_positive, default=3)
     p.add_argument("--embed-dim", type=int, default=32)
     p.add_argument("--hidden-dim", type=int, default=64)
     p.add_argument("--word-layers", type=int, default=2)

@@ -39,7 +39,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .metrics import ngram_recall
-from .selection import Ranking, select
+from .selection import select
 
 log = logging.getLogger(__name__)
 
@@ -339,10 +339,14 @@ class McsModel:
         [B, h].  Returns (new state [B, h], vocabulary logits [B, V],
         sentence attention [B, N1]).
         """
+        emb = ad.getitem(self.params["embed"], np.asarray(prev_ids, dtype=np.intp))  # [B, e]
+        state = ad.gru_cell(emb, state, memory.gru)
+        return (state, *self._readout(state, memory))
+
+    def _readout(self, state: Tensor, memory: DecoderMemory) -> tuple[Tensor, Tensor]:
+        """Vocabulary logits [B, V] and sentence attention [B, N1] of decoder states [B, h]."""
         p = self.params
         n1, j_max = memory.word_mask.shape
-        emb = ad.getitem(p["embed"], np.asarray(prev_ids, dtype=np.intp))        # [B, e]
-        state = ad.gru_cell(emb, state, memory.gru)
         b = state.shape[0]
         alpha = ad.masked_softmax(ad.matmul(state, memory.sent_keys), None)     # [B, N1]
         word_scores = ad.reshape(ad.matmul(state, memory.word_keys), (b, n1, j_max))
@@ -352,18 +356,15 @@ class McsModel:
         feat = ad.tanh(ad.add(ad.matmul(ad.concat([state, context], axis=1), memory.comb_w),
                               p["dec.comb.b"]))
         logits = ad.add(ad.matmul(feat, memory.out_w), p["dec.out.b"])
-        return state, logits, alpha
+        return logits, alpha
 
-    def _teacher_forced(self, enc: Encoded, target_ids: Sequence[int]) -> tuple[Tensor, Tensor]:
-        state, memory = self._decoder_start(enc)
-        prev = Vocab.BOS
-        logit_rows, attn_rows = [], []
-        for target in target_ids:
-            state, logits, alpha = self._decode_step([prev], state, memory)
-            logit_rows.append(logits)
-            attn_rows.append(alpha)
-            prev = int(target)
-        return ad.concat(logit_rows), ad.concat(attn_rows)
+    def _teacher_forced(self, enc: Encoded, target_ids: Sequence[int]) -> Tensor:
+        """Logits [T, V] of each target token after the ones before it: one recurrence."""
+        start, memory = self._decoder_start(enc)
+        prev_ids = np.array([[Vocab.BOS, *target_ids[:-1]]], dtype=np.intp)      # [1, T]
+        emb = ad.getitem(self.params["embed"], prev_ids)
+        states, _ = ad.gru_sequence(emb, np.ones(prev_ids.shape, bool), memory.gru, h0=start)
+        return self._readout(ad.reshape(states, (len(target_ids), -1)), memory)[0]
 
     # -- losses ---------------------------------------------------------------
 
@@ -381,8 +382,8 @@ class McsModel:
         return ids
 
     def _seq2seq_loss_from(self, enc: Encoded, target_ids: list[int]) -> Tensor:
-        logits, _ = self._teacher_forced(enc, target_ids)
-        return ad.cross_entropy_logits(logits, np.asarray(target_ids))
+        return ad.cross_entropy_logits(self._teacher_forced(enc, target_ids),
+                                       np.asarray(target_ids))
 
     def _label_loss_from(self, enc: Encoded, labels: np.ndarray) -> Tensor:
         labels = np.asarray(labels, dtype=np.float64)
@@ -528,8 +529,8 @@ class McsModel:
 
     def inference_scores(self, doc: Document, width: int = 4,
                          length_penalty: float = 2.0, min_len: int = 1,
-                         no_repeat_ngram: int = 3) -> tuple[McsScores, Ranking]:
-        """Rank-fused classifier and attention channels plus the resulting ranking.
+                         no_repeat_ngram: int = 3) -> McsScores:
+        """Rank-fused classifier and attention channels of every sentence.
 
         Every sentence of ``doc`` gets a score; clipped ones rank last (:meth:`_clip`).
         """
@@ -543,15 +544,11 @@ class McsModel:
         tail = np.zeros(doc.n_sentences - enc.n_sentences)
         z_hat = np.concatenate([z_hat, tail])
         attn_mass = np.concatenate([beam.sent_attn.sum(axis=0), tail])
-        fused = rank_normalize(z_hat) + rank_normalize(attn_mass)
-        order = sorted(range(doc.n_sentences), key=lambda i: (-fused[i], i))
-        ranking = Ranking(order, [float(fused[i]) for i in order])
-        return McsScores(z_hat, attn_mass, fused), ranking
+        return McsScores(z_hat, attn_mass, rank_normalize(z_hat) + rank_normalize(attn_mass))
 
     def fused_scores(self, doc: Document) -> list[float]:
         """Scorer-callable form of the fused channel for ranking pipelines."""
-        scores, _ = self.inference_scores(doc)
-        return [float(v) for v in scores.fused]
+        return [float(v) for v in self.inference_scores(doc).fused]
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,13 @@ def finite_diff_coordinate(f, t, idx, h=1e-5):
     return (fp - fm) / (2.0 * h)
 
 
+def finite_diff_grad(f, x, h=1e-5):
+    """Central-difference gradient of scalar ``f(probe)`` at every coordinate of ``x``."""
+    probe = ad.Tensor(x.data)
+    return np.array([finite_diff_coordinate(lambda: f(probe), probe, idx, h)
+                     for idx in np.ndindex(*x.shape)]).reshape(x.shape)
+
+
 def check_grad_fd(f, tensors, h=1e-5, tol=1e-4, max_coords=6, seed=0):
     """Compare tape gradients of scalar f() against sampled central differences."""
     with ad.Tape() as tape:
@@ -288,13 +295,13 @@ class TestBackward:
 class TestFiniteDiff:
     def test_sum_gives_ones(self):
         x = ad.Tensor(np.array([0.3, -1.0, 2.0]))
-        g = ad.finite_diff_grad(lambda t: ad.tsum(t), x)
-        np.testing.assert_allclose(g.data, np.ones(3), atol=1e-9)
+        g = finite_diff_grad(lambda t: ad.tsum(t), x)
+        np.testing.assert_allclose(g, np.ones(3), atol=1e-9)
 
     def test_half_norm_gives_x(self):
         x = ad.Tensor(np.array([[0.4, -0.7], [1.3, 0.0]]))
-        g = ad.finite_diff_grad(lambda t: 0.5 * float(ad.tsum(ad.mul(t, t))), x, h=1e-5)
-        np.testing.assert_allclose(g.data, x.data, atol=1e-8)
+        g = finite_diff_grad(lambda t: 0.5 * float(ad.tsum(ad.mul(t, t))), x, h=1e-5)
+        np.testing.assert_allclose(g, x.data, atol=1e-8)
 
     def test_masked_attention_sum_agrees_with_backward(self):
         rng = np.random.default_rng(23)
@@ -307,10 +314,10 @@ class TestFiniteDiff:
             att = ad.masked_softmax(t, mask)
             return ad.tsum(ad.matmul(att, ad.Tensor(v)))
 
-        fd = ad.finite_diff_grad(f, logits, h=1e-5)
+        fd = finite_diff_grad(f, logits, h=1e-5)
         with ad.Tape() as tape:
             tape.backward(f(logits))
-        assert rel_err(logits.grad, fd.data) < 1e-4
+        assert rel_err(logits.grad, fd) < 1e-4
 
 
 class TestPerOpGradients:
@@ -414,7 +421,7 @@ class TestThreadConfinement:
 class TestDropoutAndNoGrad:
     def test_dropout_disabled_is_identity(self):
         x = ad.Tensor(np.ones((3, 3)))
-        out = ad.dropout(x, 0.5, np.random.default_rng(0), training=False)
+        out = ad.dropout(x, 0.0, np.random.default_rng(0))
         assert out is x
 
     def test_dropout_seeded_deterministic(self):

@@ -201,13 +201,27 @@ class TestArgumentFuzz:
             assert code == 1 and err.startswith("error: cannot read")
 
 
-@pytest.mark.parametrize("flag", ["--steps", "--batch-size", "--val-every"])
+@pytest.mark.parametrize("flag", ["--steps", "--batch-size", "--val-every", "--warmup",
+                                  "--patience"])
 def test_train_counts_below_one_are_usage_errors(capsys, corpus_path, tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["train-mcs", "--input", str(corpus_path), "--output", str(tmp_path / "m.lsnt"),
               flag, "0"])
     assert exc.value.code == 2
     assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lr-scale", "-1"), ("--lr-scale", "0"), ("--lr-scale", "nan"), ("--lr-scale", "inf"),
+    ("--val-fraction", "nan"), ("--val-fraction", "-0.5"), ("--val-fraction", "1"),
+])
+def test_train_rates_out_of_range_are_usage_errors(capsys, corpus_path, tmp_path, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["train-mcs", "--input", str(corpus_path), "--output", str(tmp_path / "m.lsnt"),
+              "--steps", "2", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "m.lsnt").exists()
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])
@@ -315,7 +329,7 @@ class TestTrainScoreEvaluate:
     def test_score_select_roundtrip_matches_in_process(self, capsys, tmp_path, corpus_path):
         from longspan import mcs
         from longspan.corpus import load_corpus
-        from longspan.selection import select
+        from longspan.selection import rank_model, select
 
         ckpt = train_tiny(capsys, corpus_path, tmp_path)
         scores_path = tmp_path / "scores.jsonl"
@@ -340,9 +354,8 @@ class TestTrainScoreEvaluate:
         for ex, sel_rec in zip(examples, selections):
             dumped = sorted(by_doc[ex.doc.id], key=lambda r: r["sentence_index"])
             fused = [r["fused"] for r in dumped]
-            _, ranking = model.inference_scores(ex.doc)
             expected_order = sorted(range(len(fused)), key=lambda i: (-fused[i], i))
-            assert ranking.indices == expected_order
+            assert rank_model(ex.doc, model.fused_scores).indices == expected_order
             in_process = select(ex.doc, "model", 12, scorer=lambda d: fused)
             assert sel_rec["kept_indices"] == in_process.indices
 

@@ -341,9 +341,9 @@ class TestRankFusion:
 
     def test_single_sentence_scores_two(self):
         model = tiny_model(seed=15)
-        scores, ranking = model.inference_scores(doc_of("w1 w2 w3"))
-        assert scores.fused.tolist() == [2.0]
-        assert ranking.indices == [0]
+        doc = doc_of("w1 w2 w3")
+        assert model.inference_scores(doc).fused.tolist() == [2.0]
+        assert sel.rank_model(doc, model.fused_scores).indices == [0]
 
     def test_endpoints(self):
         nl = mcs.rank_normalize(np.array([3.0, 2.0, 1.0]))
@@ -368,7 +368,8 @@ class TestRankFusion:
     def test_inference_scores_match_ranking(self):
         model = tiny_model(seed=18)
         doc = doc_of("w1 w2 w3", "w4 w5", "w6 w7", "w8 w9")
-        scores, ranking = model.inference_scores(doc)
+        scores = model.inference_scores(doc)
+        ranking = sel.rank_model(doc, model.fused_scores)
         expected = sorted(range(4), key=lambda i: (-scores.fused[i], i))
         assert ranking.indices == expected
         assert (scores.attn_mass >= 0).all()
@@ -376,7 +377,8 @@ class TestRankFusion:
     def test_clipped_sentences_are_scored_and_ranked_last(self):
         model = tiny_model(seed=19, max_sentences=3)
         doc = doc_of("w1 w2", "w3 w4", "w5 w6", "w7 w8", "w9 w10")
-        scores, ranking = model.inference_scores(doc)
+        scores = model.inference_scores(doc)
+        ranking = sel.rank_model(doc, model.fused_scores)
         assert len(scores.fused) == len(scores.z_hat) == len(scores.attn_mass) == 5
         assert (scores.z_hat[3:] == 0.0).all() and (scores.attn_mass[3:] == 0.0).all()
         assert (scores.z_hat[:3] > 0.0).all() and (scores.attn_mass[:3] > 0.0).all()
@@ -567,13 +569,13 @@ class TestCheckpoint:
     def test_round_trip_preserves_behavior(self, tmp_path):
         model = tiny_model(seed=32)
         doc = doc_of("w1 w2 w3", "w4 w5")
-        scores_before, ranking_before = model.inference_scores(doc)
+        scores_before = model.inference_scores(doc)
         path = tmp_path / "mcs.lsnt"
         model.save(path)
         loaded = mcs.McsModel.load(path)
-        scores_after, ranking_after = loaded.inference_scores(doc)
-        np.testing.assert_array_equal(scores_before.fused, scores_after.fused)
-        assert ranking_before.indices == ranking_after.indices
+        np.testing.assert_array_equal(scores_before.fused, loaded.inference_scores(doc).fused)
+        assert (sel.rank_model(doc, model.fused_scores).indices
+                == sel.rank_model(doc, loaded.fused_scores).indices)
 
     def test_wrong_kind_rejected(self, tmp_path):
         from longspan.checkpoint import save_tensors

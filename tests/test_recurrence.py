@@ -1,4 +1,4 @@
-"""Whole-sequence GRU op and batched beam search against their step-by-step oracles."""
+"""Whole-sequence GRU op, teacher forcing and batched beam search against step-by-step oracles."""
 
 import numpy as np
 import pytest
@@ -10,18 +10,18 @@ from longspan import mcs
 from longspan.corpus import Document, Vocab
 from longspan.errors import DimensionError, DomainError
 
-from test_autodiff import check_grad_fd, rel_err
+from test_autodiff import check_grad_fd, finite_diff_grad, rel_err
 
 # ---------------------------------------------------------------------------
 # gru_sequence
 # ---------------------------------------------------------------------------
 
 
-def stepwise_gru(x, mask, params, reverse):
+def stepwise_gru(x, mask, params, reverse, h0=None):
     """One gru_cell per step with a masked blend: the composition gru_sequence replaced."""
     rows, steps, _ = x.shape
     keep = mask.astype(np.float64)[:, :, None]
-    h = ad.Tensor(np.zeros((rows, params.d_h)))
+    h = ad.Tensor(np.zeros((rows, params.d_h))) if h0 is None else h0
     per_step = {}
     for j in (range(steps - 1, -1, -1) if reverse else range(steps)):
         h_new = ad.gru_cell(ad.getitem(x, (slice(None), j)), h, params)
@@ -43,8 +43,9 @@ def gru_problems(draw):
     for t in params.tensors():
         t.data[:] = rng.normal(scale=0.6, size=t.shape)
     x = ad.parameter(rng.normal(size=(rows, steps, d_in)))
+    h0 = ad.parameter(rng.normal(size=(rows, d_h))) if draw(st.booleans()) else None
     probes = (rng.normal(size=(rows, steps, d_h)), rng.normal(size=(rows, d_h)))
-    return x, mask, params, probes
+    return x, mask, params, h0, probes
 
 
 def probe_loss(states, final, probes):
@@ -52,8 +53,8 @@ def probe_loss(states, final, probes):
                   ad.tsum(ad.mul(final, ad.Tensor(probes[1]))))
 
 
-def grads_of(run, x, params, probes):
-    tensors = [x, *params.tensors()]
+def grads_of(run, x, params, h0, probes):
+    tensors = [x, *params.tensors()] + ([] if h0 is None else [h0])
     with ad.Tape() as tape:
         states, final = run()
         tape.backward(probe_loss(states, final, probes))
@@ -66,10 +67,11 @@ class TestGruSequence:
     @settings(max_examples=60, deadline=None)
     @given(problem=gru_problems(), reverse=st.booleans())
     def test_matches_stepwise_composition(self, problem, reverse):
-        x, mask, params, probes = problem
-        fused = grads_of(lambda: ad.gru_sequence(x, mask, params, reverse=reverse),
-                         x, params, probes)
-        oracle = grads_of(lambda: stepwise_gru(x, mask, params, reverse), x, params, probes)
+        x, mask, params, h0, probes = problem
+        fused = grads_of(lambda: ad.gru_sequence(x, mask, params, reverse=reverse, h0=h0),
+                         x, params, h0, probes)
+        oracle = grads_of(lambda: stepwise_gru(x, mask, params, reverse, h0),
+                          x, params, h0, probes)
         assert np.abs(fused[0] - oracle[0]).max() <= 1e-12
         assert np.abs(fused[1] - oracle[1]).max() <= 1e-12
         for got, want in zip(fused[2], oracle[2]):
@@ -85,16 +87,19 @@ class TestGruSequence:
                 mask = mask[:, ::-1].copy()
             params = ad.GruParams.init(3, 2, rng, scale=1.0)
             x = ad.parameter(rng.normal(size=(3, 4, 3)))
+            h0 = ad.parameter(rng.normal(size=(3, 2)))
             probes = (rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 2)))
 
-            def loss_at(xx):
-                return probe_loss(*ad.gru_sequence(xx, mask, params, reverse=reverse), probes)
+            def loss_at(xx, hh=h0):
+                return probe_loss(*ad.gru_sequence(xx, mask, params, reverse=reverse, h0=hh),
+                                  probes)
 
             with ad.Tape() as tape:
                 tape.backward(loss_at(x))
-            analytic = x.grad.copy()
+            analytic = x.grad.copy(), h0.grad.copy()
             tape.zero_grads()
-            assert rel_err(analytic, ad.finite_diff_grad(loss_at, x).data) < 1e-4
+            assert rel_err(analytic[0], finite_diff_grad(loss_at, x)) < 1e-4
+            assert rel_err(analytic[1], finite_diff_grad(lambda hh: loss_at(x, hh), h0)) < 1e-4
             check_grad_fd(lambda: loss_at(x), list(params.tensors()), max_coords=3, seed=seed)
 
     def test_masked_steps_carry_the_state(self):
@@ -109,6 +114,9 @@ class TestGruSequence:
         states, final = ad.gru_sequence(x, mask, params, reverse=True)
         np.testing.assert_array_equal(final.data, states.data[:, 0])
         np.testing.assert_array_equal(states.data[0, 3], np.zeros(3))
+        h0 = ad.Tensor(rng.normal(size=(2, 3)))
+        states, _ = ad.gru_sequence(x, mask, params, h0=h0)
+        np.testing.assert_array_equal(states.data[1, 0], h0.data[1])
 
     def test_records_one_op_plus_the_final_slice(self):
         rng = np.random.default_rng(8)
@@ -125,6 +133,10 @@ class TestGruSequence:
             ad.gru_sequence(ad.Tensor(np.zeros((2, 4, 3))), np.ones((2, 4), bool), params)
         with pytest.raises(DimensionError):
             ad.gru_sequence(ad.Tensor(np.zeros((2, 4, 2))), np.ones((2, 3), bool), params)
+        for shape in [(1, 3), (2, 2), (3,), (2, 3, 1)]:
+            with pytest.raises(DimensionError):
+                ad.gru_sequence(ad.Tensor(np.zeros((2, 4, 2))), np.ones((2, 4), bool), params,
+                                h0=ad.Tensor(np.zeros(shape)))
 
 
 class TestEncodeTape:
@@ -278,3 +290,58 @@ class TestBatchedBeam:
                 single = model._decode_step([prev[b]], ad.Tensor(states.data[b : b + 1]), memory)
                 for got, want in zip(batched, single):
                     assert np.abs(got.data[b] - want.data[0]).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# teacher forcing
+# ---------------------------------------------------------------------------
+
+
+def stepwise_teacher_forced(model, enc, target_ids):
+    """One decoder step per target token, fed the token before it: the loop that one
+    gru_sequence and one readout replaced."""
+    state, memory = model._decoder_start(enc)
+    prev, rows = Vocab.BOS, []
+    for target in target_ids:
+        state, logits, _ = model._decode_step([prev], state, memory)
+        rows.append(logits)
+        prev = target
+    return ad.concat(rows)
+
+
+def loss_and_grads(model, loss_fn):
+    with ad.Tape() as tape:
+        loss = loss_fn()
+        tape.backward(loss)
+    grads = {name: p.grad.copy() for name, p in model.params.items() if p.grad is not None}
+    tape.zero_grads()
+    return loss.item(), grads
+
+
+class TestTeacherForcing:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=beam_problems(), data=st.data())
+    def test_matches_per_step_decoder(self, problem, data):
+        model, doc, _ = problem
+        ids = data.draw(st.lists(st.integers(0, model.config.vocab_size - 1),
+                                 min_size=1, max_size=model.config.max_target))
+        got_loss, got = loss_and_grads(model, lambda: model.mcs_loss(doc, ids, None, gamma=0.0))
+        want_loss, want = loss_and_grads(model, lambda: ad.cross_entropy_logits(
+            stepwise_teacher_forced(model, model.encode(doc), ids), np.asarray(ids)))
+        assert abs(got_loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+        assert got.keys() == want.keys()
+        for name, grad in want.items():
+            assert np.abs(got[name] - grad).max() <= 1e-12 * max(1.0, np.abs(grad).max()), name
+
+    def test_records_do_not_grow_with_the_target(self):
+        vocab = Vocab(WORDS)
+        config = mcs.McsConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=6,
+                               word_layers=1, sent_layers=1, dropout=0.0)
+        model = mcs.McsModel.init(config, vocab, seed=3)
+        doc = Document([["w1", "w2", "w3"], ["w4"], ["w5", "w6"]])
+        counts = []
+        for target in (["w1"], ["w1", "w2"], ["w3", "w1", "w2"]):
+            with ad.Tape() as tape:
+                model.mcs_loss(doc, target, None, gamma=0.0)
+            counts.append(len(tape))
+        assert counts[0] == counts[1] == counts[2]
