@@ -31,6 +31,7 @@ from .corpus import (
     load_corpus,
     make_synthetic_corpus,
     write_corpus,
+    write_jsonl,
 )
 from .errors import FormatError, LongspanError
 from .metrics import rouge_suite, tokenize
@@ -135,6 +136,13 @@ def _grid(spec: str) -> list[tuple[int, int | None]]:
 # cost-model
 # ---------------------------------------------------------------------------
 
+# --kind -> (memory function, coefficient kind, size flags in the function's argument order)
+_COST_KINDS = {
+    "bart": (costmodel.bart_memory, costmodel.KIND_BART, ("N", "M")),
+    "lobart": (costmodel.lobart_memory, costmodel.KIND_LOBART, ("N", "M", "W")),
+    "hier": (costmodel.hier_rnn_memory, costmodel.KIND_HIER, ("N1", "N2")),
+}
+
 
 def cmd_cost_model(args) -> int:
     coeffs_map = None
@@ -146,21 +154,11 @@ def cmd_cost_model(args) -> int:
             return costmodel.CostCoefficients.defaults(kind)
         return costmodel.CostCoefficients.from_mapping(kind, coeffs_map)
 
-    if args.kind == "hier":
-        if args.n1 is None or args.n2 is None:
-            raise UsageError("hier model needs -N1 and -N2")
-        breakdown = costmodel.hier_rnn_memory(args.n1, args.n2, args.batch,
-                                              coeffs(costmodel.KIND_HIER))
-    elif args.kind == "bart":
-        if args.N is None or args.M is None:
-            raise UsageError("bart model needs -N and -M")
-        breakdown = costmodel.bart_memory(args.N, args.M, args.batch,
-                                          coeffs(costmodel.KIND_BART))
-    else:
-        if args.N is None or args.M is None or args.W is None:
-            raise UsageError("lobart model needs -N, -M and -W")
-        breakdown = costmodel.lobart_memory(args.N, args.M, args.W, args.batch,
-                                            coeffs(costmodel.KIND_LOBART))
+    memory, kind, sizes = _COST_KINDS[args.kind]
+    missing = [f"-{name}" for name in sizes if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"{args.kind} model needs {', '.join(missing)}")
+    breakdown = memory(*(getattr(args, name) for name in sizes), args.batch, coeffs(kind))
 
     report = breakdown.to_dict()
     if args.budget is not None:
@@ -220,13 +218,13 @@ def cmd_select(args) -> int:
         scorer = model.fused_scores
         lib_method = selection.METHOD_MODEL
 
-    outputs: list[str] = []
+    outputs: list[dict] = []
     errors: list[dict] = []
     processed: list[tuple[Example, selection.Selection]] = []
 
     def failed(line_no: int, exc: LongspanError) -> None:
         errors.append({"line": line_no, "error": str(exc)})
-        outputs.append(json.dumps({"line": line_no, "error": str(exc)}))
+        outputs.append(errors[-1])
 
     for line_no, record in iter_jsonl(args.input, on_error=failed):
         try:
@@ -239,11 +237,10 @@ def cmd_select(args) -> int:
         except LongspanError as exc:
             failed(line_no, exc)
             continue
-        outputs.append(json.dumps(picked.to_record(example.doc), ensure_ascii=False))
+        outputs.append(picked.to_record(example.doc))
         processed.append((example, picked))
 
-    Path(args.output).write_text("\n".join(outputs) + ("\n" if outputs else ""),
-                                 encoding="utf-8")
+    write_jsonl(args.output, outputs)
 
     with_refs = [(ex, s) for ex, s in processed if ex.reference]
     report = {
@@ -343,33 +340,35 @@ def cmd_analyze_attention(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# train-mcs has one flag per TrainSettings and McsConfig field, defaulting to the field's
+# value; settings flags are checked as they parse, and McsConfig checks its own fields
+_SETTINGS_TYPES = {"steps": _positive, "batch_size": _positive, "warmup": _positive,
+                   "lr_scale": _positive_real, "seed": _seed, "val_fraction": _fraction,
+                   "val_every": _positive, "patience": _positive}
+
+
+def _flag_fields(cls) -> list[dataclasses.Field]:
+    """Fields of ``cls`` with a flag (vocab_size is the corpus's; one decoder layer is fixed)."""
+    return [f for f in dataclasses.fields(cls) if f.name not in ("vocab_size", "decoder_layers")]
+
+
+def _from_flags(cls, args, **fixed):
+    return cls(**fixed, **{f.name: getattr(args, f.name) for f in _flag_fields(cls)})
+
+
 def cmd_train_mcs(args) -> int:
+    try:  # checked before the corpus is read; the vocabulary size is set once it is built
+        config = _from_flags(mcs.McsConfig, args, vocab_size=1)
+    except LongspanError as exc:
+        raise UsageError(str(exc)) from None
     examples = load_corpus(args.input)
     vocab = Vocab.build(examples)
-    config = mcs.McsConfig(
-        vocab_size=len(vocab),
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden_dim,
-        word_layers=args.word_layers,
-        sent_layers=args.sent_layers,
-        dropout=args.dropout,
-        gamma=args.gamma,
-        max_sentences=args.max_sentences,
-        max_words=args.max_words,
-        max_target=args.max_target,
-    )
-    model = mcs.McsModel.init(config, vocab, seed=args.seed)
-    settings = mcs.TrainSettings(
-        steps=args.steps, batch_size=args.batch_size, warmup=args.warmup,
-        lr_scale=args.lr_scale, seed=args.seed, val_fraction=args.val_fraction,
-        val_every=args.val_every, patience=args.patience,
-    )
-    result = mcs.train(model, examples, gamma=args.gamma, settings=settings)
+    model = mcs.McsModel.init(dataclasses.replace(config, vocab_size=len(vocab)), vocab,
+                              seed=args.seed)
+    result = mcs.train(model, examples, settings=_from_flags(mcs.TrainSettings, args))
     model.save(args.output)
     curve_path = args.curve_file or (args.output + ".losses.jsonl")
-    with open(curve_path, "w", encoding="utf-8") as handle:
-        for entry in result.history:
-            handle.write(json.dumps(entry) + "\n")
+    write_jsonl(curve_path, result.history)
     report = {
         "checkpoint": str(args.output),
         "curve_file": str(curve_path),
@@ -394,12 +393,8 @@ def cmd_train_mcs(args) -> int:
 def cmd_score(args) -> int:
     model = mcs.McsModel.load(args.checkpoint)
     examples = load_corpus(args.input)
-    lines = []
-    for ex in examples:
-        for record in model.inference_scores(ex.doc).to_records(ex.doc.id):
-            lines.append(json.dumps(record, ensure_ascii=False))
-    Path(args.output).write_text("\n".join(lines) + ("\n" if lines else ""),
-                                 encoding="utf-8")
+    write_jsonl(args.output, [record for ex in examples
+                              for record in model.inference_scores(ex.doc).to_records(ex.doc.id)])
     report = {"documents": len(examples), "output": str(args.output)}
     _print_report(report, args.report,
                   lambda rep: [f"scored {rep['documents']} documents -> {rep['output']}"])
@@ -469,12 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stdout report format")
 
     p = sub.add_parser("cost-model", help="predict training memory for one operating point")
-    p.add_argument("--kind", choices=("bart", "lobart", "hier"), required=True)
+    p.add_argument("--kind", choices=tuple(_COST_KINDS), required=True)
     p.add_argument("-N", type=int, help="input length in tokens")
     p.add_argument("-M", type=int, help="target length in tokens")
     p.add_argument("-W", type=int, help="attention window (lobart)")
-    p.add_argument("-N1", dest="n1", type=int, help="sentence count (hier)")
-    p.add_argument("-N2", dest="n2", type=int, help="max words per sentence (hier)")
+    p.add_argument("-N1", type=int, help="sentence count (hier)")
+    p.add_argument("-N2", type=int, help="max words per sentence (hier)")
     p.add_argument("-B", "--batch", type=int, default=1)
     p.add_argument("--coeff-file", help="override bundled coefficients")
     p.add_argument("--budget", type=_positive_real, help="GiB budget for feasibility checks")
@@ -507,23 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-mcs", help="train the selector on a JSONL corpus")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="checkpoint path")
-    p.add_argument("--gamma", type=float, default=0.2)
-    p.add_argument("--steps", type=_positive, default=500)
-    p.add_argument("--batch-size", type=_positive, default=2)
-    p.add_argument("--warmup", type=_positive, default=100)
-    p.add_argument("--lr-scale", type=_positive_real, default=0.002)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--val-fraction", type=_fraction, default=0.2)
-    p.add_argument("--val-every", type=_positive, default=50)
-    p.add_argument("--patience", type=_positive, default=3)
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--word-layers", type=int, default=2)
-    p.add_argument("--sent-layers", type=int, default=2)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--max-sentences", type=int, default=16)
-    p.add_argument("--max-words", type=int, default=12)
-    p.add_argument("--max-target", type=int, default=16)
+    for f in _flag_fields(mcs.TrainSettings) + _flag_fields(mcs.McsConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                       type=_SETTINGS_TYPES.get(f.name, type(f.default)))
     p.add_argument("--curve-file", help="loss curve path (default <output>.losses.jsonl)")
     add_report(p)
     p.set_defaults(func=cmd_train_mcs)

@@ -128,13 +128,17 @@ def load_corpus(path) -> list[Example]:
     return [example_from_record(record, line_no) for line_no, record in iter_jsonl(path)]
 
 
-def write_corpus(path, examples: Iterable[Example]) -> None:
+def write_jsonl(path, records: Iterable) -> None:
+    """Write one UTF-8 JSON line per record: the writing twin of :func:`iter_jsonl`."""
     with open(path, "w", encoding="utf-8") as handle:
-        for ex in examples:
-            record: dict = {"id": ex.doc.id, "sentences": ex.doc.sentences}
-            if ex.reference is not None:
-                record["reference"] = " ".join(ex.reference)
+        for record in records:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def write_corpus(path, examples: Iterable[Example]) -> None:
+    write_jsonl(path, ({"id": ex.doc.id, "sentences": ex.doc.sentences}
+                       | ({} if ex.reference is None else {"reference": " ".join(ex.reference)})
+                       for ex in examples))
 
 
 class Vocab:

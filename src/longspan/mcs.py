@@ -421,24 +421,10 @@ class McsModel:
 
     # -- inference -----------------------------------------------------------
 
-    def beam_search(self, doc: Document, width: int = 4, length_penalty: float = 2.0,
-                    min_len: int = 1, max_len: int | None = None,
-                    no_repeat_ngram: int = 3) -> BeamResult:
-        """Length-penalized beam decode returning the top hypothesis.
-
-        The end token is suppressed while fewer than ``min_len`` tokens
-        (counting the end step) have been generated; next tokens that
-        would repeat an ``no_repeat_ngram``-gram already present in the
-        hypothesis are banned.  Sentence-attention rows are collected for
-        every decoded step of the winner, including its end step.
-        """
-        if width < 1:
-            raise DomainError(f"beam width must be >= 1, got {width}")
-        max_len = self.config.max_target if max_len is None else int(max_len)
+    def beam_search(self, doc: Document, **search) -> BeamResult:
+        """Top hypothesis of ``doc``; ``search`` overrides :meth:`_beam_from_encoded`'s defaults."""
         with ad.no_grad():
-            enc = self.encode(doc)
-            return self._beam_from_encoded(enc, width, length_penalty,
-                                           min_len, max_len, no_repeat_ngram)
+            return self._beam_from_encoded(self.encode(doc), **search)
 
     @staticmethod
     def _banned_next(tokens: list[int], n: int) -> set[int]:
@@ -452,18 +438,29 @@ class McsModel:
                 banned.add(gram[-1])
         return banned
 
-    def _beam_from_encoded(self, enc: Encoded, width: int, length_penalty: float,
-                           min_len: int, max_len: int, no_repeat_ngram: int) -> BeamResult:
-        """Beam decode that steps every live hypothesis as one batch.
+    def _beam_from_encoded(self, enc: Encoded, width: int = 4, length_penalty: float = 2.0,
+                           min_len: int = 1, max_len: int | None = None,
+                           no_repeat_ngram: int = 3) -> BeamResult:
+        """Length-penalized beam decode returning the top hypothesis.
 
-        Each step's candidates are, in live-beam order, the ``width + 1``
-        best next tokens of each hypothesis (stable order, banned tokens
-        dropped); a stable sort by log-probability then fills the finished
-        pool (end token, at most ``width`` over the whole search) and the
-        next live beam (at most ``width``).  A hypothesis is its tokens,
-        log-probability and the decode row that produced its last token;
-        its attention rows are read back through the rows' parents.
+        The end token is suppressed while fewer than ``min_len`` tokens
+        (counting the end step) have been generated; next tokens that
+        would repeat an ``no_repeat_ngram``-gram already present in the
+        hypothesis are banned; ``max_len`` defaults to ``max_target``.
+
+        Every live hypothesis steps as one batch: each step's candidates
+        are, in live-beam order, the ``width + 1`` best next tokens of each
+        hypothesis (stable order, banned tokens dropped); a stable sort by
+        log-probability then fills the finished pool (end token, at most
+        ``width`` over the whole search) and the next live beam (at most
+        ``width``).  A hypothesis is its tokens, log-probability and the
+        decode row that produced its last token; the winner's attention
+        rows, one per decoded step including its end step, are read back
+        through the rows' parents.
         """
+        if width < 1:
+            raise DomainError(f"beam width must be >= 1, got {width}")
+        max_len = self.config.max_target if max_len is None else int(max_len)
         state, memory = self._decoder_start(enc)
         attn_steps: list[np.ndarray] = []      # [rows at step t, N1] per step
         parent_steps: list[np.ndarray] = []    # each row's row at step t - 1
@@ -527,9 +524,7 @@ class McsModel:
             sent_attn=np.vstack(rows[::-1]) if rows else np.zeros((0, enc.n_sentences)),
         )
 
-    def inference_scores(self, doc: Document, width: int = 4,
-                         length_penalty: float = 2.0, min_len: int = 1,
-                         no_repeat_ngram: int = 3) -> McsScores:
+    def inference_scores(self, doc: Document) -> McsScores:
         """Rank-fused classifier and attention channels of every sentence.
 
         Every sentence of ``doc`` gets a score; clipped ones rank last (:meth:`_clip`).
@@ -537,10 +532,7 @@ class McsModel:
         with ad.no_grad():
             enc = self.encode(doc)
             z_hat = self.classifier_scores(enc.sent_states).data
-            beam = self._beam_from_encoded(
-                enc, width, length_penalty, min_len, self.config.max_target,
-                no_repeat_ngram,
-            )
+            beam = self._beam_from_encoded(enc)
         tail = np.zeros(doc.n_sentences - enc.n_sentences)
         z_hat = np.concatenate([z_hat, tail])
         attn_mass = np.concatenate([beam.sent_attn.sum(axis=0), tail])
@@ -645,18 +637,17 @@ def _prepare(model: McsModel, examples: Sequence[Example]) -> list[tuple[Documen
     return prepared
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: McsModel, examples: Sequence[Example], gamma: float | None = None,
           settings: TrainSettings | None = None) -> TrainResult:
     """Mini-batch descent on the mixed loss under the inverse-sqrt schedule.
 
     Deterministic under ``settings.seed``; aborts with a diagnostic if the
-    loss goes non-finite; stops early when validation loss has not
+    loss goes non-finite, the one report of a divergence (numpy's overflow
+    warnings are silenced); stops early when validation loss has not
     improved for ``patience`` consecutive evaluations.
     """
     settings = settings or TrainSettings()
-    gamma = model.config.gamma if gamma is None else float(gamma)
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must be in [0, 1], got {gamma}")
     prepared = _prepare(model, examples)
     rng = np.random.default_rng(settings.seed)
     order = rng.permutation(len(prepared))

@@ -119,18 +119,24 @@ def rank_model(doc: Document, scorer: Callable[[Document], Sequence[float]]) -> 
     return Ranking(order, [float(scores[i]) for i in order])
 
 
-def truncate_and_sort(doc: Document, ranking: Ranking, budget: int) -> Selection:
-    """Admit ranked sentences while the word total fits, then restore order."""
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
-    admitted: list[int] = []
-    used = 0
-    for idx in ranking.indices:
+def _admit(doc: Document, candidates: Iterable[int], used: int,
+           budget: int) -> tuple[list[int], int]:
+    """Admit candidates while the word total stays <= budget; stop at the first overflow."""
+    admitted = []
+    for idx in candidates:
         words = len(doc.sentences[idx])
         if used + words > budget:
             break
         admitted.append(idx)
         used += words
+    return admitted, used
+
+
+def truncate_and_sort(doc: Document, ranking: Ranking, budget: int) -> Selection:
+    """Admit ranked sentences while the word total fits, then restore order."""
+    if budget < 1:
+        raise DomainError(f"budget must be >= 1, got {budget}")
+    admitted, used = _admit(doc, ranking.indices, 0, budget)
     if not admitted and ranking.indices:
         first = ranking.indices[0]
         return Selection([first], budget, budget, first_sentence_cut=budget)
@@ -159,14 +165,7 @@ def pad_selection(core: Selection, doc: Document, mode: str, budget: int,
     if mode == "rand":
         rng = np.random.default_rng(seed)
         pool = [pool[j] for j in rng.permutation(len(pool))]
-    used = core.words_used
-    extra: list[int] = []
-    for idx in pool:
-        words = len(doc.sentences[idx])
-        if used + words > budget:
-            break
-        extra.append(idx)
-        used += words
+    extra, used = _admit(doc, pool, core.words_used, budget)
     return Selection(sorted(core.indices + extra), budget, used)
 
 

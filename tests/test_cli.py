@@ -1,5 +1,6 @@
 """Command surface: formats, exit codes, determinism, round-trips."""
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from longspan import costmodel
+from longspan import costmodel, mcs
 from longspan.checkpoint import load_tensors, save_tensors
-from longspan.cli import main
+from longspan.cli import build_parser, main
 from longspan.corpus import Document, Example, make_synthetic_corpus, write_corpus
 
 
@@ -88,10 +89,16 @@ class TestCostModel:
         assert feasible[(8192, 512)] is True
         assert feasible[(8192, None)] is False
 
-    def test_missing_args_usage_error(self, capsys):
+    @pytest.mark.parametrize("kind,given,missing", [
+        ("bart", ["-M", "144"], "-N"),
+        ("lobart", ["-N", "4096", "-M", "144"], "-W"),
+        ("hier", ["-N", "4096"], "-N1, -N2"),
+    ], ids=["bart", "lobart", "hier"])
+    def test_missing_args_usage_error(self, capsys, kind, given, missing):
         with pytest.raises(SystemExit) as exc:
-            main(["cost-model", "--kind", "lobart", "-N", "4096", "-M", "144"])
+            main(["cost-model", "--kind", kind, *given])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {kind} model needs {missing}\n")
 
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -221,6 +228,44 @@ def test_train_rates_out_of_range_are_usage_errors(capsys, corpus_path, tmp_path
               "--steps", "2", flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "m.lsnt").exists()
+
+
+def test_train_flags_default_to_the_config_dataclasses():
+    fields = [f for f in dataclasses.fields(mcs.McsConfig)
+              if f.name not in ("vocab_size", "decoder_layers")]
+    fields += dataclasses.fields(mcs.TrainSettings)
+    assert len(fields) == 17
+    required = ["train-mcs", "--input", "c.jsonl", "--output", "m.lsnt"]
+    implicit = build_parser().parse_args(required)
+    explicit = build_parser().parse_args(
+        required + [x for f in fields for x in ("--" + f.name.replace("_", "-"), str(f.default))])
+    for f in fields:
+        assert getattr(implicit, f.name) == getattr(explicit, f.name) == f.default, f.name
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--hidden-dim", "0"), ("--hidden-dim", "5"), ("--gamma", "nan"), ("--dropout", "1"),
+    ("--max-target", "-1"), ("--embed-dim", "0"), ("--gamma", "1.5"), ("--dropout", "-0.1"),
+])
+def test_train_model_flags_are_checked_before_the_corpus_is_read(capsys, tmp_path, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["train-mcs", "--input", str(tmp_path / "missing.jsonl"),
+              "--output", str(tmp_path / "m.lsnt"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag[2:].replace("-", "_") in err
+    assert "cannot read" not in err
+
+
+def test_diverging_training_reports_only_its_error(capsys, tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, make_synthetic_corpus(6, seed=7))
+    code = main(["train-mcs", "--input", str(corpus), "--output", str(tmp_path / "m.lsnt"),
+                 "--steps", "5", "--warmup", "1", "--lr-scale", "1e308"])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: loss became nan at step ")
     assert not (tmp_path / "m.lsnt").exists()
 
 

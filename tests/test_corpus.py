@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from longspan import corpus
 from longspan.errors import FormatError, InputError
@@ -29,6 +31,21 @@ class TestJsonl:
             assert a.doc.id == b.doc.id
             assert a.doc.sentences == b.doc.sentences
             assert a.reference == b.reference
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(st.fixed_dictionaries({
+        "id": st.text(),
+        "sentences": st.lists(st.lists(st.text(min_size=1), min_size=1), min_size=1),
+    }), max_size=4))
+    @example(records=[{"id": "naïve", "sentences": [["café", "日本語"], ["\u2028", "ünï"]]}])
+    def test_write_jsonl_round_trips_non_ascii(self, tmp_path, records):
+        path = tmp_path / "w.jsonl"
+        corpus.write_jsonl(path, records)
+        assert [record for _, record in corpus.iter_jsonl(path)] == records
+        # one line per record, non-ASCII characters written as they are
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(record, ensure_ascii=False) + "\n" for record in records)
 
     def test_string_sentences_accepted(self, tmp_path):
         path = tmp_path / "s.jsonl"
