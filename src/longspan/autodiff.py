@@ -230,7 +230,8 @@ def tanh(a: Tensor) -> Tensor:
 def _sigmoid(x: Array) -> Array:
     # exp of -|x| cannot overflow; each sign takes its own stable form
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 / (1.0 + e)
+    return np.where(x >= 0, d, e * d)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -355,7 +356,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product.
 
     Supported: 2-D @ 2-D, 1-D @ 2-D, 2-D @ 1-D, N-D @ N-D with identical
-    batch dimensions, and N-D @ 1-D (contraction over the last axis).
+    batch dimensions, N-D @ 2-D (one matrix for every batch entry) and
+    N-D @ 1-D (contraction over the last axis).
     """
     ad, bd = a.data, b.data
     if ad.ndim == 0 or bd.ndim == 0:
@@ -366,7 +368,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     if ad.ndim >= 3 and bd.ndim >= 3 and ad.shape[:-2] != bd.shape[:-2]:
         raise DimensionError(f"matmul batch dimensions differ: {a.shape} x {b.shape}")
-    if ad.ndim >= 3 and bd.ndim == 2:
+    if bd.ndim >= 3 and ad.ndim != bd.ndim:
         raise DimensionError(f"unsupported matmul arrangement: {a.shape} x {b.shape}")
     out = np.matmul(ad, bd)
 
@@ -384,8 +386,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.outer(ad, g)
             return (ga, gb)
         ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-        return (ga, gb)
+        if ad.ndim > 2 and bd.ndim == 2:
+            # b serves every batch entry: its gradient is one product over all of them
+            return (ga, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        return (ga, np.matmul(np.swapaxes(ad, -1, -2), g))
 
     return _apply(out, (a, b), bwd)
 
@@ -411,9 +415,11 @@ def masked_softmax(logits: Tensor, mask: Array | None) -> Tensor:
     """
     shifted = logits.data
     if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
-        _check_rows_permitted(mask)
+        mask = np.asarray(mask, dtype=bool)
+        _check_rows_permitted(mask)  # broadcasting only repeats the mask's rows
         shifted = np.where(mask, shifted, -np.inf)
+        if shifted.shape != logits.shape:
+            raise DimensionError(f"mask {mask.shape} does not broadcast to {logits.shape}")
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)  # masked entries: exp(-inf) == 0 exactly
     denom = expd.sum(axis=-1, keepdims=True)
@@ -581,39 +587,46 @@ class GruParams:
         )
 
 
-def _gru_forward(xd: Array, hd: Array, params: GruParams) -> tuple[Array, tuple]:
-    """One row-batched GRU step on arrays: (new state, cache for :func:`_gru_backward`)."""
-    r = _sigmoid(xd @ params.wx_r.data + hd @ params.wh_r.data + params.b_r.data)
-    z = _sigmoid(xd @ params.wx_z.data + hd @ params.wh_z.data + params.b_z.data)
-    c = hd @ params.wh_n.data
-    n = np.tanh(xd @ params.wx_n.data + r * c + params.b_n.data)
-    return (1.0 - z) * n + z * hd, (xd, hd, r, z, c, n)
+def _fused_gates(params: GruParams) -> tuple[Array, Array, Array]:
+    """Gate weights side by side in r | z | n order: Wx [d_in x 3h], Wh [h x 3h], b [3h]."""
+    tensors = params.tensors()
+    return tuple(np.concatenate([t.data for t in tensors[k::3]], axis=-1) for k in range(3))
 
 
-def _gru_backward(g: Array, cache: tuple, params: GruParams) -> tuple[Array, Array, tuple]:
-    """Adjoint of :func:`_gru_forward`: (d x, d h_prev, parameter grads in FIELDS order)."""
-    xd, hd, r, z, c, n = cache
-    wxr, whr = params.wx_r.data, params.wh_r.data
-    wxz, whz = params.wx_z.data, params.wh_z.data
-    wxn, whn = params.wx_n.data, params.wh_n.data
-    dn = g * (1.0 - z)
-    dz = g * (hd - n)
-    dh = g * z
-    dan = dn * (1.0 - n * n)
-    dxd = dan @ wxn.T
-    dwxn = xd.T @ dan
-    dbn = dan.sum(axis=0)
-    dr = dan * c
-    dc = dan * r
-    dh = dh + dc @ whn.T
-    dwhn = hd.T @ dc
-    dar = dr * r * (1.0 - r)
-    daz = dz * z * (1.0 - z)
-    dxd = dxd + dar @ wxr.T + daz @ wxz.T
-    dh = dh + dar @ whr.T + daz @ whz.T
-    dwxr, dwhr, dbr = xd.T @ dar, hd.T @ dar, dar.sum(axis=0)
-    dwxz, dwhz, dbz = xd.T @ daz, hd.T @ daz, daz.sum(axis=0)
-    return dxd, dh, (dwxr, dwhr, dbr, dwxz, dwhz, dbz, dwxn, dwhn, dbn)
+def _split_gates(dwx: Array, dwh: Array, db: Array) -> tuple[Array, ...]:
+    """Fused-gate gradients back to the nine parameters, in ``GruParams.FIELDS`` order."""
+    return tuple(g for gate in zip(*(np.split(a, 3, axis=-1) for a in (dwx, dwh, db)))
+                 for g in gate)
+
+
+def _gru_step(xw: Array, h: Array, wh: Array) -> tuple[Array, tuple]:
+    """One row-batched step from its input projection ``xw`` = x Wx + b [rows x 3h].
+
+    Returns the new state and the cache :func:`_gru_step_adjoint` reads.
+    """
+    d = h.shape[1]
+    hw = h @ wh
+    rz = _sigmoid(xw[:, : 2 * d] + hw[:, : 2 * d])
+    c = hw[:, 2 * d:]
+    n = np.tanh(xw[:, 2 * d:] + rz[:, :d] * c)
+    return n + rz[:, d:] * (h - n), (h, rz, c, n)
+
+
+def _gru_step_adjoint(g: Array, cache: tuple, wh: Array) -> tuple[Array, Array, Array]:
+    """Adjoint of :func:`_gru_step`: gradients of x Wx + b and of h Wh (each [rows x 3h]),
+    and of the previous state."""
+    h, rz, c, n = cache
+    d = h.shape[1]
+    r, z = rz[:, :d], rz[:, d:]
+    dan = g * (1.0 - z) * (1.0 - n * n)
+    da_x = np.empty((g.shape[0], 3 * d))
+    da_x[:, :d] = dan * c
+    da_x[:, d : 2 * d] = g * (h - n)
+    da_x[:, : 2 * d] *= rz * (1.0 - rz)
+    da_x[:, 2 * d:] = dan
+    da_h = da_x.copy()
+    da_h[:, 2 * d:] = dan * r
+    return da_x, da_h, g * z + da_h @ wh.T
 
 
 def gru_cell(x: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:
@@ -628,13 +641,15 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:
             f"gru_cell feature dims (x {x.shape}, h {h_prev.shape}) do not match "
             f"params (d_in={params.d_in}, d_h={params.d_h})"
         )
-    out, cache = _gru_forward(xd, hd, params)
+    wx, wh, b = _fused_gates(params)
+    out, cache = _gru_step(xd @ wx + b, hd, wh)
 
     def bwd(g):
-        dxd, dh, dparams = _gru_backward(g[None, :] if squeeze else g, cache, params)
+        da_x, da_h, dh = _gru_step_adjoint(g[None, :] if squeeze else g, cache, wh)
+        dxd = da_x @ wx.T
         if squeeze:
             dxd, dh = dxd[0], dh[0]
-        return (dxd, dh) + dparams
+        return (dxd, dh) + _split_gates(xd.T @ da_x, hd.T @ da_h, da_x.sum(axis=0))
 
     return _apply(out[0] if squeeze else out, (x, h_prev) + params.tensors(), bwd)
 
@@ -649,8 +664,11 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams, reverse: bool = Fals
     running order.  Returns (states [rows x steps x d_h], final
     [rows x d_h]); the final state is a slice of the states.
 
-    Backpropagation through time runs inside the one record, latest
-    step first, and sums each parameter's gradient in that order.
+    The input side of all three gates, x [Wr|Wz|Wn] + b, is one product
+    over every step before the loop, so a step costs one h [Ur|Uz|Un]
+    product.  Backpropagation through time runs inside the one record,
+    latest step first, and keeps each step's gate adjoints; the input and
+    parameter gradients are then one product each over the stacked steps.
     """
     xd = x.data
     mask = np.asarray(mask, dtype=bool)
@@ -659,34 +677,40 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams, reverse: bool = Fals
     if xd.shape[2] != params.d_in:
         raise DimensionError(f"gru_sequence input dim {xd.shape[2]} does not match "
                              f"params (d_in={params.d_in})")
-    rows, steps, _ = xd.shape
-    if h0 is not None and h0.shape != (rows, params.d_h):
-        raise DimensionError(f"gru_sequence got h0 {h0.shape}, expected {(rows, params.d_h)}")
+    rows, steps, d_in = xd.shape
+    d = params.d_h
+    if h0 is not None and h0.shape != (rows, d):
+        raise DimensionError(f"gru_sequence got h0 {h0.shape}, expected {(rows, d)}")
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    states = np.empty((rows, steps, params.d_h))
+    wx, wh, b = _fused_gates(params)
+    xw = (xd.reshape(-1, d_in) @ wx + b).reshape(rows, steps, 3 * d)
+    states = np.empty((rows, steps, d))
     caches = []
-    h = np.zeros((rows, params.d_h)) if h0 is None else h0.data
+    h = np.zeros((rows, d)) if h0 is None else h0.data
     for j in order:
-        h_new, cache = _gru_forward(xd[:, j], h, params)
+        h_new, cache = _gru_step(xw[:, j], h, wh)
         h = np.where(mask[:, j : j + 1], h_new, h)
         states[:, j] = h
-        caches.append((j, cache))
+        caches.append(cache)
 
     def bwd(g):
-        dx = np.zeros_like(xd)
-        dparams = None
-        passed = carried = np.zeros((rows, params.d_h))
-        for j, cache in reversed(caches):
+        da_x = np.empty((rows, steps, 3 * d))
+        da_h = np.empty((steps, rows, 3 * d))
+        passed = carried = np.zeros((rows, d))
+        for k, j in reversed(list(enumerate(order))):
             # gradient of the state after step j: its own output, the masked
             # pass-through to the next step, then the next step's cell input
             g_state = (g[:, j] + passed) + carried
             keep = mask[:, j : j + 1]
             passed = np.where(keep, 0.0, g_state)
-            dx[:, j], carried, step_grads = _gru_backward(np.where(keep, g_state, 0.0),
-                                                          cache, params)
-            dparams = step_grads if dparams is None else tuple(
-                total + part for total, part in zip(dparams, step_grads))
-        return (dx,) + dparams + (() if h0 is None else (passed + carried,))
+            da_x[:, j], da_h[k], carried = _gru_step_adjoint(np.where(keep, g_state, 0.0),
+                                                             caches[k], wh)
+        flat_x = da_x.reshape(-1, 3 * d)
+        h_prev = np.stack([cache[0] for cache in caches]).reshape(-1, d)
+        grads = _split_gates(xd.reshape(-1, d_in).T @ flat_x,
+                             h_prev.T @ da_h.reshape(-1, 3 * d), flat_x.sum(axis=0))
+        dx = (flat_x @ wx.T).reshape(xd.shape)
+        return (dx,) + grads + (() if h0 is None else (passed + carried,))
 
     out = _apply(states, (x,) + params.tensors() + (() if h0 is None else (h0,)), bwd)
     return out, getitem(out, (slice(None), 0 if reverse else steps - 1))

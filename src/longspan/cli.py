@@ -465,12 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost-model", help="predict training memory for one operating point")
     p.add_argument("--kind", choices=tuple(_COST_KINDS), required=True)
-    p.add_argument("-N", type=int, help="input length in tokens")
-    p.add_argument("-M", type=int, help="target length in tokens")
-    p.add_argument("-W", type=int, help="attention window (lobart)")
-    p.add_argument("-N1", type=int, help="sentence count (hier)")
-    p.add_argument("-N2", type=int, help="max words per sentence (hier)")
-    p.add_argument("-B", "--batch", type=int, default=1)
+    p.add_argument("-N", type=_positive, help="input length in tokens")
+    p.add_argument("-M", type=_positive, help="target length in tokens")
+    p.add_argument("-W", type=_positive, help="attention window (lobart)")
+    p.add_argument("-N1", type=_positive, help="sentence count (hier)")
+    p.add_argument("-N2", type=_positive, help="max words per sentence (hier)")
+    p.add_argument("-B", "--batch", type=_positive, default=1)
     p.add_argument("--coeff-file", help="override bundled coefficients")
     p.add_argument("--budget", type=_positive_real, help="GiB budget for feasibility checks")
     p.add_argument("--grid", type=_grid,
@@ -524,12 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-corpus", help="generate a seeded synthetic corpus")
     p.add_argument("--output", required=True)
-    p.add_argument("--docs", type=int, default=20)
+    p.add_argument("--docs", type=_positive, default=20)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--min-sentences", type=int, default=6)
-    p.add_argument("--max-sentences", type=int, default=10)
-    p.add_argument("--min-words", type=int, default=4)
-    p.add_argument("--max-words", type=int, default=8)
+    p.add_argument("--min-sentences", type=_positive, default=6)
+    p.add_argument("--max-sentences", type=_positive, default=10)
+    p.add_argument("--min-words", type=_positive, default=4)
+    p.add_argument("--max-words", type=_positive, default=8)
     add_report(p)
     p.set_defaults(func=cmd_make_corpus)
 

@@ -83,23 +83,32 @@ class McsConfig:
 
 @dataclass
 class Encoded:
-    """Encoder outputs for one document."""
+    """Encoder outputs for D documents of S sentences in all, in document order.
 
-    word_states: Tensor        # [N1, J, hidden]
-    word_mask: np.ndarray      # [N1, J] bool
-    sent_states: Tensor        # [N1, hidden]
-    summary: Tensor            # [hidden]
-    n_sentences: int
+    Each document has N1 sentence slots of J words; slots past its own
+    sentence count are empty, and their word states repeat sentence 0's.
+    """
+
+    word_states: Tensor        # [S, J, hidden]
+    word_mask: np.ndarray      # [S, J] bool
+    sent_states: Tensor        # [S, hidden]
+    summary: Tensor            # [D, hidden]
+    n_sentences: int           # S
+    sent_mask: np.ndarray      # [D, N1] bool: the slot holds a sentence
+    slot_states: Tensor        # [D, N1, hidden] sentence states by slot
+    slot_words: Tensor         # [D, N1*J, hidden] word states by slot
+    slot_word_mask: np.ndarray  # [D, N1, J]; an empty slot permits its first word alone
 
 
 @dataclass
 class DecoderMemory:
     """What every decoder step reads: document projections and the recurrence (h = hidden)."""
 
-    sent_keys: Tensor          # [h, N1]: sentence scores are state @ sent_keys
-    word_keys: Tensor          # [h, N1*J]: word scores are state @ word_keys
-    words: Tensor              # [N1*J, h] word states, one row per (sentence, word)
-    word_mask: np.ndarray      # [N1, J] bool
+    sent_keys: Tensor          # [D, h, N1]: sentence scores are state @ sent_keys
+    word_keys: Tensor          # [D, h, N1*J]: word scores are state @ word_keys
+    words: Tensor              # [D, N1*J, h] word states, one row per (slot, word)
+    sent_mask: np.ndarray      # [D, 1, N1] bool
+    word_mask: np.ndarray      # [D, 1, N1, J] bool
     comb_w: Tensor             # [2h, h]
     out_w: Tensor              # [h, V]
     gru: GruParams             # the decoder's recurrence
@@ -264,47 +273,62 @@ class McsModel:
         states_b, final_b = ad.gru_sequence(x, mask, self._gru(f"{prefix}.b"), reverse=True)
         return ad.concat([states_f, states_b], axis=2), final_f, final_b
 
-    def encode(self, doc: Document, training: bool = False,
+    def encode(self, *docs: Document, training: bool = False,
                rng: np.random.Generator | None = None) -> Encoded:
-        """Word-level then sentence-level bidirectional encoding.
+        """Word-level then sentence-level bidirectional encoding of one or more documents.
 
-        Documents beyond the configured sentence/word limits are clipped
-        with a warning (:meth:`_clip`).
+        The word GRU takes every sentence of every document as its rows;
+        the sentence GRU runs over [documents, slots] with each document's
+        own sentence count as its mask.  Documents beyond the configured
+        sentence/word limits are clipped with a warning (:meth:`_clip`).
         """
         cfg = self.config
-        ids = [self.vocab.encode(s) for s in self._clip(doc).sentences]
-        n1 = len(ids)
-        lengths = [len(s) for s in ids]
-        j_max = max(lengths)
-        id_matrix = np.full((n1, j_max), Vocab.PAD, dtype=np.intp)
-        mask = np.zeros((n1, j_max), dtype=bool)
-        for i, sent in enumerate(ids):
-            id_matrix[i, : len(sent)] = sent
-            mask[i, : len(sent)] = True
+        ids = [[self.vocab.encode(s) for s in self._clip(doc).sentences] for doc in docs]
+        counts = np.array([len(doc_ids) for doc_ids in ids])
+        sentences = [sent for doc_ids in ids for sent in doc_ids]
+        lengths = np.array([len(sent) for sent in sentences])
+        mask = np.arange(lengths.max()) < lengths[:, None]
+        id_matrix = np.full(mask.shape, Vocab.PAD, dtype=np.intp)
+        id_matrix[mask] = np.concatenate(sentences)
+        j_max = mask.shape[1]
+        sent_mask = np.arange(counts.max()) < counts[:, None]
+        slot_rows = np.zeros(sent_mask.shape, dtype=np.intp)   # empty slots read row 0
+        slot_rows[sent_mask] = np.arange(len(sentences))
 
         drop = cfg.dropout if training else 0.0
         if drop > 0.0 and rng is None:
             raise DomainError("training-mode encode with dropout requires an rng")
-        x = ad.getitem(self.params["embed"], id_matrix)  # [N1, J, e]
+        x = ad.getitem(self.params["embed"], id_matrix)  # [S, J, e]
         final_f = final_b = None
         for layer in range(cfg.word_layers):
             if layer > 0 and drop > 0.0:
                 x = ad.dropout(x, drop, rng)
             x, final_f, final_b = self._bigru_sequence(x, mask, f"word.{layer}")
         word_states = x
-        reps = ad.concat([final_f, final_b], axis=1)  # [N1, hidden]
+        reps = ad.concat([final_f, final_b], axis=1)  # [S, hidden]
 
-        # sentence-level GRU treats the N1 sentences as one sequence (batch of 1)
-        seq = ad.reshape(reps, (1, n1, cfg.hidden_dim))
-        seq_mask = np.ones((1, n1), dtype=bool)
+        seq = ad.getitem(reps, slot_rows)  # [D, N1, hidden]
         final_sf = final_sb = None
         for layer in range(cfg.sent_layers):
             if layer > 0 and drop > 0.0:
                 seq = ad.dropout(seq, drop, rng)
-            seq, final_sf, final_sb = self._bigru_sequence(seq, seq_mask, f"sent.{layer}")
-        sent_states = ad.reshape(seq, (n1, cfg.hidden_dim))
-        summary = ad.reshape(ad.concat([final_sf, final_sb], axis=1), (cfg.hidden_dim,))
-        return Encoded(word_states, mask, sent_states, summary, n1)
+            seq, final_sf, final_sb = self._bigru_sequence(seq, sent_mask, f"sent.{layer}")
+        # (sentence row, word) of each slot's words, slots side by side: [D, N1*J] each
+        word_slots = (np.repeat(slot_rows, j_max, axis=1),
+                      np.tile(np.arange(j_max), slot_rows.shape))
+        slot_word_mask = mask[slot_rows]
+        slot_word_mask[~sent_mask] = np.arange(j_max) == 0
+        return Encoded(
+            word_states=word_states,
+            word_mask=mask,
+            sent_states=ad.getitem(seq, np.nonzero(sent_mask)),
+            summary=ad.concat([final_sf, final_sb], axis=1),
+            n_sentences=len(sentences),
+            sent_mask=sent_mask,
+            slot_states=seq,
+            slot_words=ad.getitem(word_states, word_slots),
+            slot_word_mask=slot_word_mask,
+        )
 
     # -- heads ---------------------------------------------------------------
 
@@ -314,26 +338,24 @@ class McsModel:
         return ad.sigmoid(raw)
 
     def _decoder_start(self, enc: Encoded) -> tuple[Tensor, DecoderMemory]:
-        """Initial state [1, h] and the document projections every decode step reads."""
+        """Initial states [D, h] and the projections every decode step of each document reads."""
         p = self.params
-        h = self.config.hidden_dim
-        n1, j_max, _ = enc.word_states.shape
-        words = ad.reshape(enc.word_states, (n1 * j_max, h))
         memory = DecoderMemory(
-            sent_keys=ad.transpose(ad.matmul(enc.sent_states, p["dec.att_sent.w"])),
-            word_keys=ad.transpose(ad.matmul(words, p["dec.att_word.w"])),
-            words=words,
-            word_mask=enc.word_mask,
+            sent_keys=ad.transpose(ad.matmul(enc.slot_states, p["dec.att_sent.w"]), (0, 2, 1)),
+            word_keys=ad.transpose(ad.matmul(enc.slot_words, p["dec.att_word.w"]), (0, 2, 1)),
+            words=enc.slot_words,
+            sent_mask=enc.sent_mask[:, None],
+            word_mask=enc.slot_word_mask[:, None],
             comb_w=ad.transpose(p["dec.comb.w"]),
             out_w=ad.transpose(p["dec.out.w"]),
             gru=self._gru("dec.gru"),
         )
-        state = ad.tanh(ad.add(ad.matmul(p["dec.init.w"], enc.summary), p["dec.init.b"]))
-        return ad.reshape(state, (1, h)), memory
+        state = ad.matmul(enc.summary, ad.transpose(p["dec.init.w"]))
+        return ad.tanh(ad.add(state, p["dec.init.b"])), memory
 
     def _decode_step(self, prev_ids, state: Tensor,
                      memory: DecoderMemory) -> tuple[Tensor, Tensor, Tensor]:
-        """One decoder step for B hypotheses at once.
+        """One decoder step for B hypotheses of one document at once.
 
         ``prev_ids`` holds each hypothesis's previous token and ``state`` is
         [B, h].  Returns (new state [B, h], vocabulary logits [B, V],
@@ -341,30 +363,36 @@ class McsModel:
         """
         emb = ad.getitem(self.params["embed"], np.asarray(prev_ids, dtype=np.intp))  # [B, e]
         state = ad.gru_cell(emb, state, memory.gru)
-        return (state, *self._readout(state, memory))
+        logits, alpha = self._readout(ad.reshape(state, (1, *state.shape)), memory)
+        return state, ad.reshape(logits, logits.shape[1:]), ad.reshape(alpha, alpha.shape[1:])
 
     def _readout(self, state: Tensor, memory: DecoderMemory) -> tuple[Tensor, Tensor]:
-        """Vocabulary logits [B, V] and sentence attention [B, N1] of decoder states [B, h]."""
+        """Vocabulary logits [D, T, V] and sentence attention [D, T, N1] of decoder states
+        [D, T, h]; row d reads document d's memory."""
         p = self.params
-        n1, j_max = memory.word_mask.shape
-        b = state.shape[0]
-        alpha = ad.masked_softmax(ad.matmul(state, memory.sent_keys), None)     # [B, N1]
-        word_scores = ad.reshape(ad.matmul(state, memory.word_keys), (b, n1, j_max))
-        beta = ad.masked_softmax(word_scores, memory.word_mask)                 # per-sentence rows
-        weights = ad.mul(ad.reshape(alpha, (b, n1, 1)), beta)
-        context = ad.matmul(ad.reshape(weights, (b, n1 * j_max)), memory.words)  # [B, h]
-        feat = ad.tanh(ad.add(ad.matmul(ad.concat([state, context], axis=1), memory.comb_w),
+        n1, j_max = memory.word_mask.shape[2:]
+        d, t, _ = state.shape
+        alpha = ad.masked_softmax(ad.matmul(state, memory.sent_keys), memory.sent_mask)
+        word_scores = ad.reshape(ad.matmul(state, memory.word_keys), (d, t, n1, j_max))
+        beta = ad.masked_softmax(word_scores, memory.word_mask)          # per-sentence rows
+        weights = ad.mul(ad.reshape(alpha, (d, t, n1, 1)), beta)
+        context = ad.matmul(ad.reshape(weights, (d, t, n1 * j_max)), memory.words)  # [D, T, h]
+        feat = ad.tanh(ad.add(ad.matmul(ad.concat([state, context], axis=2), memory.comb_w),
                               p["dec.comb.b"]))
         logits = ad.add(ad.matmul(feat, memory.out_w), p["dec.out.b"])
         return logits, alpha
 
-    def _teacher_forced(self, enc: Encoded, target_ids: Sequence[int]) -> Tensor:
-        """Logits [T, V] of each target token after the ones before it: one recurrence."""
+    def _teacher_forced(self, enc: Encoded, targets: Sequence[list[int]]) -> Tensor:
+        """Logits [target tokens, V] of each target token after the ones before it, documents
+        in order: one recurrence over [D, longest target] and one readout."""
         start, memory = self._decoder_start(enc)
-        prev_ids = np.array([[Vocab.BOS, *target_ids[:-1]]], dtype=np.intp)      # [1, T]
+        lengths = np.array([len(target) for target in targets])
+        mask = np.arange(lengths.max()) < lengths[:, None]
+        prev_ids = np.full(mask.shape, Vocab.PAD, dtype=np.intp)
+        prev_ids[mask] = np.concatenate([[Vocab.BOS, *target[:-1]] for target in targets])
         emb = ad.getitem(self.params["embed"], prev_ids)
-        states, _ = ad.gru_sequence(emb, np.ones(prev_ids.shape, bool), memory.gru, h0=start)
-        return self._readout(ad.reshape(states, (len(target_ids), -1)), memory)[0]
+        states, _ = ad.gru_sequence(emb, mask, memory.gru, h0=start)
+        return ad.getitem(self._readout(states, memory)[0], np.nonzero(mask))
 
     # -- losses ---------------------------------------------------------------
 
@@ -381,16 +409,18 @@ class McsModel:
             raise InputError("target token id outside the vocabulary")
         return ids
 
-    def _seq2seq_loss_from(self, enc: Encoded, target_ids: list[int]) -> Tensor:
-        return ad.cross_entropy_logits(self._teacher_forced(enc, target_ids),
-                                       np.asarray(target_ids))
+    def _seq2seq_loss_from(self, enc: Encoded, targets: Sequence[list[int]]) -> Tensor:
+        return ad.cross_entropy_logits(self._teacher_forced(enc, targets),
+                                       np.concatenate(targets))
 
-    def _label_loss_from(self, enc: Encoded, labels: np.ndarray) -> Tensor:
-        labels = np.asarray(labels, dtype=np.float64)
-        if labels.shape != (enc.n_sentences,):
-            raise InputError(
-                f"labels shape {labels.shape} does not match {enc.n_sentences} sentences"
-            )
+    def _label_loss_from(self, enc: Encoded, labels: Sequence[np.ndarray]) -> Tensor:
+        labels = [np.asarray(doc_labels, dtype=np.float64) for doc_labels in labels]
+        for doc_labels, count in zip(labels, enc.sent_mask.sum(axis=1)):
+            if doc_labels.shape != (count,):
+                raise InputError(
+                    f"labels shape {doc_labels.shape} does not match {count} sentences"
+                )
+        labels = np.concatenate(labels)
         z_hat = self.classifier_scores(enc.sent_states)
         if ((z_hat.data <= 0.0) | (z_hat.data >= 1.0)).any():
             log.warning("classifier output saturated; clamping inside the loss")
@@ -399,25 +429,35 @@ class McsModel:
         negated = ad.mul(Tensor(1.0 - labels), ad.log(ad.sub(Tensor(np.ones_like(labels)), z)))
         return ad.neg(ad.tsum(ad.add(pos, negated)))
 
+    def batch_loss(self, batch: Sequence[tuple[Document, Sequence, np.ndarray]],
+                   gamma: float | None = None, training: bool = False, rng=None) -> Tensor:
+        """Summed :meth:`mcs_loss` of (document, target, labels) triples, as one graph.
+
+        One encoding packs every document; one cross-entropy covers every
+        target token and one binary cross-entropy every sentence label.
+        """
+        gamma = self.config.gamma if gamma is None else float(gamma)
+        if not 0.0 <= gamma <= 1.0:
+            raise DomainError(f"gamma must be in [0, 1], got {gamma}")
+        docs, targets, labels = zip(*batch)
+        enc = self.encode(*docs, training=training, rng=rng)
+        if gamma == 1.0:
+            return self._label_loss_from(enc, labels)
+        l_seq = self._seq2seq_loss_from(enc, [self._target_ids(target) for target in targets])
+        if gamma == 0.0:
+            return l_seq
+        return ad.add(ad.mul(Tensor(np.float64(gamma)), self._label_loss_from(enc, labels)),
+                      ad.mul(Tensor(np.float64(1.0 - gamma)), l_seq))
+
     def mcs_loss(self, doc: Document, target: Sequence, labels: np.ndarray,
                  gamma: float | None = None, training: bool = False, rng=None) -> Tensor:
         """Convex mix: gamma * labelling + (1 - gamma) * generation.
 
         Labelling is the classifier's binary cross-entropy over sentences;
-        generation is the summed teacher-forced NLL of the target.
+        generation is the summed teacher-forced NLL of the target.  This
+        is :meth:`batch_loss` of a batch of one.
         """
-        gamma = self.config.gamma if gamma is None else float(gamma)
-        if not 0.0 <= gamma <= 1.0:
-            raise DomainError(f"gamma must be in [0, 1], got {gamma}")
-        enc = self.encode(doc, training=training, rng=rng)
-        if gamma == 1.0:
-            return self._label_loss_from(enc, labels)
-        if gamma == 0.0:
-            return self._seq2seq_loss_from(enc, self._target_ids(target))
-        l_label = self._label_loss_from(enc, labels)
-        l_seq = self._seq2seq_loss_from(enc, self._target_ids(target))
-        return ad.add(ad.mul(Tensor(np.float64(gamma)), l_label),
-                      ad.mul(Tensor(np.float64(1.0 - gamma)), l_seq))
+        return self.batch_loss([(doc, target, labels)], gamma, training, rng)
 
     # -- inference -----------------------------------------------------------
 
@@ -666,32 +706,22 @@ def train(model: McsModel, examples: Sequence[Example], gamma: float | None = No
     queue: list[int] = []
 
     def val_loss() -> float:
-        total = 0.0
-        for doc, target_ids, labels in val_set:
-            loss = model.mcs_loss(doc, target_ids, labels, gamma=gamma)
-            total += loss.item()
-        return total / len(val_set)
+        return model.batch_loss(val_set, gamma=gamma).item() / len(val_set)
 
     while step < settings.steps:
         while len(queue) < settings.batch_size:
             queue.extend(rng.permutation(len(train_set)).tolist())
         batch = [train_set[queue.pop(0)] for _ in range(settings.batch_size)]
         step += 1
-        batch_loss = 0.0
-        inv = 1.0 / len(batch)
-        for doc, target_ids, labels in batch:
-            with ad.Tape() as tape:
-                loss = model.mcs_loss(doc, target_ids, labels, gamma=gamma,
-                                      training=True, rng=rng)
-                tape.backward(ad.mul(loss, Tensor(np.float64(inv))))
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingDivergedError(
-                    f"loss became {value} at step {step} "
-                    f"(lr={lr_schedule(step, settings.warmup, settings.lr_scale):.3e})"
-                )
-            batch_loss += value * inv
-        optimizer.step(lr_schedule(step, settings.warmup, settings.lr_scale))
+        lr = lr_schedule(step, settings.warmup, settings.lr_scale)
+        with ad.Tape() as tape:
+            loss = ad.mul(model.batch_loss(batch, gamma=gamma, training=True, rng=rng),
+                          Tensor(np.float64(1.0 / len(batch))))
+            tape.backward(loss)
+        batch_loss = loss.item()
+        if not math.isfinite(batch_loss):
+            raise TrainingDivergedError(f"loss became {batch_loss} at step {step} (lr={lr:.3e})")
+        optimizer.step(lr)
         optimizer.zero_grads()
         entry = {"step": step, "train_loss": batch_loss}
         if val_set and step % settings.val_every == 0:

@@ -118,6 +118,18 @@ class TestMatmul:
             ad.matmul(ad.Tensor(v), ad.Tensor(b3[0])).data, v @ b3[0], atol=1e-14
         )
 
+    def test_batch_times_one_matrix(self):
+        rng = np.random.default_rng(12)
+        a = ad.parameter(rng.normal(size=(2, 3, 4)))
+        b = ad.parameter(rng.normal(size=(4, 5)))
+        out = ad.matmul(a, b)
+        for k in range(2):
+            assert np.abs(out.data[k] - loop_matmul(a.data[k], b.data)).max() < 1e-12
+        probe = ad.Tensor(rng.normal(size=(2, 3, 5)))
+        check_grad_fd(lambda: ad.tsum(ad.mul(ad.matmul(a, b), probe)), [a, b], max_coords=8)
+        with pytest.raises(DimensionError, match="unsupported"):
+            ad.matmul(ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros((2, 4, 5))))
+
 
 class TestMaskedSoftmax:
     def test_uniform_on_equal_logits(self):

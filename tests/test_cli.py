@@ -100,6 +100,16 @@ class TestCostModel:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: {kind} model needs {missing}\n")
 
+    @pytest.mark.parametrize("flag", ["-N", "-M", "-W", "-N1", "-N2", "-B", "--batch"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_sizes_below_one_are_usage_errors(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["cost-model", "--kind", "lobart", "-N", "1024", "-M", "144", "-W", "32",
+                  "-N1", "8", "-N2", "6", flag, value])
+        assert exc.value.code == 2
+        name = "-B/--batch" if flag in ("-B", "--batch") else flag
+        assert f"argument {name}: must be >= 1" in capsys.readouterr().err
+
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["cost-model", "--kind", "bart", "--bogus", "1"])
@@ -630,11 +640,21 @@ class TestMakeCorpusAndReproducibility:
     @pytest.mark.parametrize("low, high", [("--min-sentences", "--max-sentences"),
                                            ("--min-words", "--max-words")])
     def test_inverted_or_empty_range_exits_1(self, capsys, tmp_path, low, high):
-        for lo, hi in (("5", "2"), ("0", "2")):
-            code = main(["make-corpus", "--output", str(tmp_path / "c.jsonl"), low, lo, high, hi])
-            err = capsys.readouterr().err
-            assert code == 1
-            assert err.startswith("error: ") and "1 <= min <= max" in err
+        code = main(["make-corpus", "--output", str(tmp_path / "c.jsonl"), low, "5", high, "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "1 <= min <= max" in err
+
+    @pytest.mark.parametrize("flag", ["--docs", "--min-sentences", "--max-sentences",
+                                      "--min-words", "--max-words"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_counts_below_one_are_usage_errors(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "c.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["make-corpus", "--output", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_pipeline_byte_identical(self, capsys, tmp_path):
         def pipeline(stem: str):

@@ -1,4 +1,5 @@
-"""Whole-sequence GRU op, teacher forcing and batched beam search against step-by-step oracles."""
+"""Whole-sequence GRU op, teacher forcing, batched losses and batched beam search against
+step-by-step and per-document oracles."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from longspan import autodiff as ad
 from longspan import mcs
-from longspan.corpus import Document, Vocab
+from longspan.corpus import Document, Example, Vocab
 from longspan.errors import DimensionError, DomainError
 
 from test_autodiff import check_grad_fd, finite_diff_grad, rel_err
@@ -155,8 +156,8 @@ class TestEncodeTape:
                 model.encode(doc)
             counts.append(len(tape))
         # embedding lookup; per BiGRU layer two sequence ops, two final slices and a
-        # concat; the sentence summaries, the reshapes around the sentence GRU and
-        # the document summary's concat and reshape
+        # concat; the sentence summaries, their gather into document slots and back
+        # out, the document summary's concat and the word states gathered by slot
         assert counts == [6 + 5 * (word_layers + sent_layers)] * 2
 
 
@@ -345,3 +346,124 @@ class TestTeacherForcing:
                 model.mcs_loss(doc, target, None, gamma=0.0)
             counts.append(len(tape))
         assert counts[0] == counts[1] == counts[2]
+
+
+# ---------------------------------------------------------------------------
+# gru_cell as the one-step case of the fused kernel
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=gru_problems())
+def test_gru_cell_matches_one_step_sequence(problem):
+    _, _, params, _, _ = problem
+    rng = np.random.default_rng(params.d_in * 10 + params.d_h)
+    rows = 3
+    x = ad.parameter(rng.normal(size=(rows, 1, params.d_in)))
+    h0 = ad.parameter(rng.normal(size=(rows, params.d_h)))
+    probe = rng.normal(size=(rows, params.d_h))
+    tensors = [x, h0, *params.tensors()]
+
+    def grads(run):
+        with ad.Tape() as tape:
+            out = run()
+            tape.backward(ad.tsum(ad.mul(out, ad.Tensor(probe))))
+        got = [t.grad.copy() for t in tensors]
+        tape.zero_grads()
+        return out.data, got
+
+    cell = grads(lambda: ad.gru_cell(ad.reshape(x, (rows, params.d_in)), h0, params))
+    seq = grads(lambda: ad.gru_sequence(x, np.ones((rows, 1), bool), params, h0=h0)[1])
+    assert np.abs(cell[0] - seq[0]).max() <= 1e-12
+    for got, want in zip(cell[1], seq[1]):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one graph per mini-batch
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def loss_batches(draw):
+    vocab = Vocab(WORDS)
+    config = mcs.McsConfig(vocab_size=len(vocab), embed_dim=draw(st.integers(1, 5)),
+                           hidden_dim=2 * draw(st.integers(1, 3)),
+                           word_layers=draw(st.integers(1, 2)),
+                           sent_layers=draw(st.integers(1, 2)), dropout=0.0,
+                           max_sentences=5, max_words=3, max_target=6)
+    model = mcs.McsModel.init(config, vocab, seed=draw(st.integers(0, 10**6)))
+    # sentences may run past max_words, which clips them
+    sentence = st.lists(st.sampled_from(WORDS + ["other"]), min_size=1, max_size=5)
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        doc = Document(draw(st.lists(sentence, min_size=1, max_size=5)))
+        target = draw(st.lists(st.integers(0, len(vocab) - 1), min_size=1,
+                               max_size=config.max_target))
+        labels = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                        min_size=doc.n_sentences, max_size=doc.n_sentences)))
+        batch.append((doc, target, labels))
+    return model, batch, draw(st.sampled_from([0.0, 0.2, 1.0]))
+
+
+class TestBatchLoss:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=loss_batches())
+    def test_matches_the_sum_of_one_document_losses(self, problem):
+        model, batch, gamma = problem
+        got_loss, got = loss_and_grads(model, lambda: model.batch_loss(batch, gamma=gamma))
+        want_loss, want = 0.0, {}
+        for doc, target, labels in batch:
+            loss, grads = loss_and_grads(
+                model, lambda: model.mcs_loss(doc, target, labels, gamma=gamma))
+            want_loss += loss
+            for name, grad in grads.items():
+                want[name] = want[name] + grad if name in want else grad
+        assert abs(got_loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+        assert got.keys() == want.keys()
+        for name, grad in want.items():
+            assert np.abs(got[name] - grad).max() <= 1e-12 * max(1.0, np.abs(grad).max()), name
+
+    def test_padded_sentences_get_no_attention(self):
+        vocab = Vocab(WORDS)
+        config = mcs.McsConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=6,
+                               word_layers=1, sent_layers=1, dropout=0.0)
+        model = mcs.McsModel.init(config, vocab, seed=4)
+        docs = [Document([["w1", "w2"]]), Document([["w3"], ["w4", "w5", "w6"], ["w7"]])]
+        with ad.no_grad():
+            enc = model.encode(*docs)
+            state, memory = model._decoder_start(enc)
+            _, alpha = model._readout(ad.reshape(state, (2, 1, 6)), memory)
+        np.testing.assert_array_equal(enc.sent_mask, [[True, False, False], [True] * 3])
+        np.testing.assert_array_equal(alpha.data[0, 0, 1:], [0.0, 0.0])
+        assert alpha.data[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.2, 1.0])
+    def test_training_runs_one_backward_per_step(self, monkeypatch, gamma):
+        examples = [Example(Document([[f"w{(i + j) % 8}" for j in range(1 + (i + k) % 4)]
+                                      for k in range(1 + i % 3)], id=str(i)),
+                            [f"w{(3 * i + j) % 8}" for j in range(1 + i % 5)])
+                    for i in range(6)]
+        vocab = Vocab(WORDS)
+        config = mcs.McsConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=6,
+                               word_layers=2, sent_layers=2, dropout=0.1, max_target=8)
+        records = []
+        backward = ad.Tape.backward
+
+        def counted(tape, loss):
+            records.append(len(tape))
+            backward(tape, loss)
+
+        monkeypatch.setattr(ad.Tape, "backward", counted)
+        per_batch = {}
+        for batch_size in (1, 2, 4):
+            records.clear()
+            model = mcs.McsModel.init(config, vocab, seed=5)
+            settings_ = mcs.TrainSettings(steps=3, batch_size=batch_size, warmup=2,
+                                          seed=6, val_fraction=0.0)
+            mcs.train(model, examples, gamma=gamma, settings=settings_)
+            assert len(records) == 3
+            per_batch[batch_size] = set(records)
+        # the same ops record whatever the batch holds
+        assert per_batch[1] == per_batch[2] == per_batch[4]
+        assert len(per_batch[1]) == 1
