@@ -33,7 +33,6 @@ from .costmodel import (
     fit_coefficients,
     hier_rnn_memory,
     lobart_memory,
-    model_optimizer_memory,
 )
 from .mcs import McsConfig, McsModel, McsScores, make_labels, recall_rate, train
 from .metrics import RougeScore, ngram_recall, rouge_l, rouge_suite, tokenize
@@ -62,7 +61,6 @@ __all__ = [
     # cost model
     "CostCoefficients", "MemoryBreakdown", "advise_operating_point", "bart_memory",
     "breakeven_width", "fit_coefficients", "hier_rnn_memory", "lobart_memory",
-    "model_optimizer_memory",
     # metrics
     "RougeScore", "ngram_recall", "rouge_l", "rouge_suite", "tokenize",
     # corpus

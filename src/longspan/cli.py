@@ -208,37 +208,59 @@ def cmd_cost_model(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# score and select --method mcs score this many documents at once, in input order, so the
+# model's working memory is that of one group whatever the input's length
+INFERENCE_GROUP = 32
+
+
+def _scores_by_group(model: mcs.McsModel, examples: list[Example]):
+    """Each example's :class:`mcs.McsScores`, in order, scored INFERENCE_GROUP at a time."""
+    for start in range(0, len(examples), INFERENCE_GROUP):
+        yield from model.inference_scores(
+            *(ex.doc for ex in examples[start : start + INFERENCE_GROUP]))
+
+
 def cmd_select(args) -> int:
-    scorer = None
+    model = None
     lib_method = args.method
     if args.method == "mcs":
         if not args.checkpoint:
             raise UsageError("--method mcs requires --checkpoint")
         model = mcs.McsModel.load(args.checkpoint)
-        scorer = model.fused_scores
         lib_method = selection.METHOD_MODEL
+
+    # every line first: its example, or the error its output line reports
+    parsed: list[tuple[int, Example | LongspanError]] = []
+    for line_no, record in iter_jsonl(args.input,
+                                      on_error=lambda n, exc: parsed.append((n, exc))):
+        try:
+            parsed.append((line_no, example_from_record(record, line_no)))
+        except LongspanError as exc:
+            parsed.append((line_no, exc))
+    examples = [item for _, item in parsed if isinstance(item, Example)]
+    if model is not None:  # scored lazily, a group at a time, in the order score uses
+        fused = (scores.fused.tolist() for scores in _scores_by_group(model, examples))
 
     outputs: list[dict] = []
     errors: list[dict] = []
     processed: list[tuple[Example, selection.Selection]] = []
-
-    def failed(line_no: int, exc: LongspanError) -> None:
-        errors.append({"line": line_no, "error": str(exc)})
+    for line_no, item in parsed:
+        if isinstance(item, Example):
+            scorer = None if model is None else (lambda doc, s=next(fused): s)
+            try:
+                picked = selection.select(
+                    item.doc, lib_method, args.budget,
+                    reference=item.reference, scorer=scorer,
+                    seed=args.seed,
+                )
+            except LongspanError as exc:
+                item = exc
+            else:
+                outputs.append(picked.to_record(item.doc))
+                processed.append((item, picked))
+                continue
+        errors.append({"line": line_no, "error": str(item)})
         outputs.append(errors[-1])
-
-    for line_no, record in iter_jsonl(args.input, on_error=failed):
-        try:
-            example = example_from_record(record, line_no)
-            picked = selection.select(
-                example.doc, lib_method, args.budget,
-                reference=example.reference, scorer=scorer,
-                seed=args.seed,
-            )
-        except LongspanError as exc:
-            failed(line_no, exc)
-            continue
-        outputs.append(picked.to_record(example.doc))
-        processed.append((example, picked))
 
     write_jsonl(args.output, outputs)
 
@@ -393,8 +415,9 @@ def cmd_train_mcs(args) -> int:
 def cmd_score(args) -> int:
     model = mcs.McsModel.load(args.checkpoint)
     examples = load_corpus(args.input)
-    write_jsonl(args.output, [record for ex in examples
-                              for record in model.inference_scores(ex.doc).to_records(ex.doc.id)])
+    scores = _scores_by_group(model, examples)
+    write_jsonl(args.output, [record for ex, doc_scores in zip(examples, scores)
+                              for record in doc_scores.to_records(ex.doc.id)])
     report = {"documents": len(examples), "output": str(args.output)}
     _print_report(report, args.report,
                   lambda rep: [f"scored {rep['documents']} documents -> {rep['output']}"])

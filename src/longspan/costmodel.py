@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import DomainError, FormatError, SingularFitError
 
-GIB = float(2**30)
-
 KIND_BART = "bart"
 KIND_LOBART = "lobart"
 KIND_HIER = "hier_rnn"
@@ -194,30 +192,6 @@ def hier_rnn_memory(n1: int, n2: int, batch: int = 1,
                     coeffs: CostCoefficients | None = None) -> MemoryBreakdown:
     """Training memory of the hierarchical RNN selector at (N1 sentences, N2 words)."""
     return _memory(KIND_HIER, coeffs, batch, n1=n1, n2=n2)
-
-
-def model_optimizer_memory(param_count: int, bytes_per_value: int = 4) -> MemoryBreakdown:
-    """Static memory: parameters + gradients + two adaptive-moment buffers.
-
-    Each parameter stores one gradient and the optimizer keeps first and
-    second moments, so the total is 4x the parameter bytes.
-    """
-    if param_count < 0:
-        raise DomainError(f"param_count must be >= 0, got {param_count}")
-    if bytes_per_value < 1:
-        raise DomainError(f"bytes_per_value must be >= 1, got {bytes_per_value}")
-    per = param_count * bytes_per_value / GIB
-    terms = {
-        "parameters": per,
-        "gradients": per,
-        "adam_first_moment": per,
-        "adam_second_moment": per,
-    }
-    return MemoryBreakdown(
-        "model_optimizer",
-        {"param_count": param_count, "bytes_per_value": bytes_per_value},
-        terms,
-    )
 
 
 def breakeven_width(n: int, bart: CostCoefficients | None = None,

@@ -355,16 +355,17 @@ class McsModel:
 
     def _decode_step(self, prev_ids, state: Tensor,
                      memory: DecoderMemory) -> tuple[Tensor, Tensor, Tensor]:
-        """One decoder step for B hypotheses of one document at once.
+        """One decoder step for B hypotheses of each of the D documents in ``memory``.
 
         ``prev_ids`` holds each hypothesis's previous token and ``state`` is
-        [B, h].  Returns (new state [B, h], vocabulary logits [B, V],
-        sentence attention [B, N1]).
+        [D*B, h], document by document.  Returns (new state [D*B, h],
+        vocabulary logits [D*B, V], sentence attention [D*B, N1]).
         """
-        emb = ad.getitem(self.params["embed"], np.asarray(prev_ids, dtype=np.intp))  # [B, e]
+        emb = ad.getitem(self.params["embed"], np.asarray(prev_ids, dtype=np.intp))  # [D*B, e]
         state = ad.gru_cell(emb, state, memory.gru)
-        logits, alpha = self._readout(ad.reshape(state, (1, *state.shape)), memory)
-        return state, ad.reshape(logits, logits.shape[1:]), ad.reshape(alpha, alpha.shape[1:])
+        rows, h = state.shape
+        logits, alpha = self._readout(ad.reshape(state, (len(memory.sent_mask), -1, h)), memory)
+        return state, ad.reshape(logits, (rows, -1)), ad.reshape(alpha, (rows, -1))
 
     def _readout(self, state: Tensor, memory: DecoderMemory) -> tuple[Tensor, Tensor]:
         """Vocabulary logits [D, T, V] and sentence attention [D, T, N1] of decoder states
@@ -461,11 +462,6 @@ class McsModel:
 
     # -- inference -----------------------------------------------------------
 
-    def beam_search(self, doc: Document, **search) -> BeamResult:
-        """Top hypothesis of ``doc``; ``search`` overrides :meth:`_beam_from_encoded`'s defaults."""
-        with ad.no_grad():
-            return self._beam_from_encoded(self.encode(doc), **search)
-
     @staticmethod
     def _banned_next(tokens: list[int], n: int) -> set[int]:
         if n < 1 or len(tokens) + 1 < n:
@@ -480,107 +476,138 @@ class McsModel:
 
     def _beam_from_encoded(self, enc: Encoded, width: int = 4, length_penalty: float = 2.0,
                            min_len: int = 1, max_len: int | None = None,
-                           no_repeat_ngram: int = 3) -> BeamResult:
-        """Length-penalized beam decode returning the top hypothesis.
+                           no_repeat_ngram: int = 3) -> list[BeamResult]:
+        """Length-penalized beam decode of every document in ``enc``: the top hypothesis of each.
 
         The end token is suppressed while fewer than ``min_len`` tokens
         (counting the end step) have been generated; next tokens that
         would repeat an ``no_repeat_ngram``-gram already present in the
         hypothesis are banned; ``max_len`` defaults to ``max_target``.
 
-        Every live hypothesis steps as one batch: each step's candidates
-        are, in live-beam order, the ``width + 1`` best next tokens of each
-        hypothesis (stable order, banned tokens dropped); a stable sort by
-        log-probability then fills the finished pool (end token, at most
-        ``width`` over the whole search) and the next live beam (at most
-        ``width``).  A hypothesis is its tokens, log-probability and the
-        decode row that produced its last token; the winner's attention
-        rows, one per decoded step including its end step, are read back
-        through the rows' parents.
+        The documents decode in lock step, document d's live hypotheses in
+        rows d*width, d*width + 1, ... of one row batch; a free row steps
+        too, and its candidates are dropped.  Per document, each step's
+        candidates are, in live-beam order, the ``width + 1`` best next
+        tokens of each hypothesis (stable order, banned tokens dropped); a
+        stable sort by log-probability then fills the finished pool (end
+        token, at most ``width`` over the whole search) and the next live
+        beam (at most ``width``).  A hypothesis is its tokens,
+        log-probability and the row that produced its last token; the
+        winner's attention rows, one per decoded step including its end
+        step, are read back through the rows' parents.
         """
         if width < 1:
             raise DomainError(f"beam width must be >= 1, got {width}")
         max_len = self.config.max_target if max_len is None else int(max_len)
-        state, memory = self._decoder_start(enc)
-        attn_steps: list[np.ndarray] = []      # [rows at step t, N1] per step
-        parent_steps: list[np.ndarray] = []    # each row's row at step t - 1
-        live = [_Hypothesis([], 0.0, -1, -1)]
-        finished: list[_Hypothesis] = []
+        start, memory = self._decoder_start(enc)
+        n_docs = start.shape[0]
+        n_rows = n_docs * width
+        state = ad.getitem(start, np.repeat(np.arange(n_docs), width))
+        attn_steps: list[np.ndarray] = []      # [rows, N1] per step
+        parent_steps: list[list[int]] = []     # each row's row at step t - 1
+        live = [[_Hypothesis([], 0.0, -1, -1)] for _ in range(n_docs)]
+        finished: list[list[_Hypothesis]] = [[] for _ in range(n_docs)]
 
         def final_score(logprob: float, n_tokens: int) -> float:
             return logprob / (max(n_tokens, 1) ** length_penalty)
 
         for step in range(max_len):
-            prev = [hyp.tokens[-1] if hyp.tokens else Vocab.BOS for hyp in live]
+            prev, parents = [Vocab.BOS] * n_rows, [-1] * n_rows
+            logprobs = [-np.inf] * n_rows     # a free row has no candidates
+            banned_rows, banned = [], []
+            for d, hyps in enumerate(live):
+                for row, hyp in enumerate(hyps, start=d * width):
+                    prev[row] = hyp.tokens[-1] if hyp.tokens else Vocab.BOS
+                    parents[row], logprobs[row] = hyp.row, hyp.logprob
+                    ban = self._banned_next(hyp.tokens, no_repeat_ngram)
+                    banned_rows += [row] * len(ban)
+                    banned += ban
             state, logits, alpha = self._decode_step(prev, state, memory)
             attn_steps.append(alpha.data)
-            parent_steps.append(np.array([hyp.row for hyp in live]))
+            parent_steps.append(parents)
             logp = ad.log_softmax(logits).data
             if step + 1 < min_len:
                 logp[:, Vocab.EOS] = -np.inf
-            for row, hyp in enumerate(live):
-                logp[row, list(self._banned_next(hyp.tokens, no_repeat_ngram))] = -np.inf
+            logp[banned_rows, banned] = -np.inf
             order = np.argsort(-logp, axis=1, kind="stable")[:, : width + 1]
-            picked = np.take_along_axis(logp, order, axis=1)
-            finite = np.isfinite(picked)   # masks read row-major: beam order, then rank
-            cand_rows = np.nonzero(finite)[0]
-            totals = np.array([hyp.logprob for hyp in live])[cand_rows] + picked[finite]
-            by_logprob = np.argsort(-totals, kind="stable")
-            survivors = []
-            for row, token, total in zip(cand_rows[by_logprob].tolist(),
-                                         order[finite][by_logprob].tolist(),
-                                         totals[by_logprob].tolist()):
-                hyp = _Hypothesis(live[row].tokens + [token], total, step, row)
-                if token == Vocab.EOS:
-                    if len(finished) < width:
-                        finished.append(hyp)
-                elif len(survivors) < width:
-                    survivors.append(hyp)
-                if len(survivors) >= width and len(finished) >= width:
-                    break
-            live = survivors
-            if not live:
+            ranks = order.shape[1]     # width + 1, or fewer in a smaller vocabulary
+            # per document, candidates read row-major: beam order, then rank
+            totals = np.array(logprobs)[:, None] + np.take_along_axis(logp, order, axis=1)
+            totals = totals.reshape(n_docs, width * ranks)
+            by_total = np.argsort(-totals, axis=1, kind="stable")   # dropped ones sort last
+            order, totals = order.tolist(), totals.tolist()
+            next_rows = np.zeros(n_rows, dtype=np.intp)
+            for d, ranked in enumerate(by_total.tolist()):
+                survivors, done = [], finished[d]
+                for k in ranked:
+                    total = totals[d][k]
+                    if total == -np.inf:
+                        break
+                    row = d * width + k // ranks
+                    token = order[row][k % ranks]
+                    into = done if token == Vocab.EOS else survivors
+                    if len(into) < width:
+                        tokens = live[d][row - d * width].tokens + [token]
+                        into.append(_Hypothesis(tokens, total, step, row))
+                        if len(survivors) >= width and len(done) >= width:
+                            break
+                live[d] = survivors
+                next_rows[d * width : d * width + len(survivors)] = [h.row for h in survivors]
+            if not any(live):
                 break
-            state = ad.getitem(state, np.array([hyp.row for hyp in live]))
+            state = ad.getitem(state, next_rows)
 
-        pool = finished + live
-        if not pool:
-            raise DomainError("beam search produced no hypotheses")
-        best = max(
-            enumerate(pool),
-            key=lambda item: (final_score(item[1].logprob, len(item[1].tokens)), -item[0]),
-        )[1]
-        rows, step, row = [], best.step, best.row
-        while step >= 0:
-            rows.append(attn_steps[step][row])
-            row = parent_steps[step][row]
-            step -= 1
-        ended = bool(best.tokens) and best.tokens[-1] == Vocab.EOS
-        return BeamResult(
-            tokens=best.tokens[:-1] if ended else best.tokens,
-            ended=ended,
-            logprob=best.logprob,
-            score=final_score(best.logprob, len(best.tokens)),
-            sent_attn=np.vstack(rows[::-1]) if rows else np.zeros((0, enc.n_sentences)),
-        )
+        counts = enc.sent_mask.sum(axis=1)
+        results = []
+        for d in range(n_docs):
+            pool = finished[d] + live[d]
+            if not pool:
+                raise DomainError("beam search produced no hypotheses")
+            best = max(
+                enumerate(pool),
+                key=lambda item: (final_score(item[1].logprob, len(item[1].tokens)), -item[0]),
+            )[1]
+            rows, step, row = [], best.step, best.row
+            while step >= 0:
+                rows.append(attn_steps[step][row, : counts[d]])
+                row = parent_steps[step][row]
+                step -= 1
+            ended = bool(best.tokens) and best.tokens[-1] == Vocab.EOS
+            results.append(BeamResult(
+                tokens=best.tokens[:-1] if ended else best.tokens,
+                ended=ended,
+                logprob=best.logprob,
+                score=final_score(best.logprob, len(best.tokens)),
+                sent_attn=np.vstack(rows[::-1]) if rows else np.zeros((0, counts[d])),
+            ))
+        return results
 
-    def inference_scores(self, doc: Document) -> McsScores:
-        """Rank-fused classifier and attention channels of every sentence.
+    def inference_scores(self, *docs: Document) -> list[McsScores]:
+        """Rank-fused classifier and attention channels of every sentence of each document.
 
-        Every sentence of ``doc`` gets a score; clipped ones rank last (:meth:`_clip`).
+        One encoding, one classifier pass and one lock-step beam serve the
+        whole group.  Every sentence gets a score; clipped ones rank last
+        (:meth:`_clip`).
         """
+        if not docs:
+            return []
         with ad.no_grad():
-            enc = self.encode(doc)
+            enc = self.encode(*docs)
             z_hat = self.classifier_scores(enc.sent_states).data
-            beam = self._beam_from_encoded(enc)
-        tail = np.zeros(doc.n_sentences - enc.n_sentences)
-        z_hat = np.concatenate([z_hat, tail])
-        attn_mass = np.concatenate([beam.sent_attn.sum(axis=0), tail])
-        return McsScores(z_hat, attn_mass, rank_normalize(z_hat) + rank_normalize(attn_mass))
+            beams = self._beam_from_encoded(enc)
+        scores = []
+        bounds = np.cumsum(enc.sent_mask.sum(axis=1))[:-1]
+        for doc, doc_z, beam in zip(docs, np.split(z_hat, bounds), beams):
+            tail = np.zeros(doc.n_sentences - len(doc_z))
+            doc_z = np.concatenate([doc_z, tail])
+            attn_mass = np.concatenate([beam.sent_attn.sum(axis=0), tail])
+            scores.append(McsScores(doc_z, attn_mass,
+                                    rank_normalize(doc_z) + rank_normalize(attn_mass)))
+        return scores
 
     def fused_scores(self, doc: Document) -> list[float]:
         """Scorer-callable form of the fused channel for ranking pipelines."""
-        return [float(v) for v in self.inference_scores(doc).fused]
+        return [float(v) for v in self.inference_scores(doc)[0].fused]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from longspan import costmodel, mcs
 from longspan.checkpoint import load_tensors, save_tensors
-from longspan.cli import build_parser, main
-from longspan.corpus import Document, Example, make_synthetic_corpus, write_corpus
+from longspan.cli import INFERENCE_GROUP, build_parser, main
+from longspan.corpus import Document, Example, load_corpus, make_synthetic_corpus, write_corpus
+from longspan.selection import select
 
 
 def run(capsys, *argv):
@@ -438,6 +439,65 @@ class TestTrainScoreEvaluate:
 
 def read_jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+class TestGroupedInference:
+    """score and select --method mcs score documents INFERENCE_GROUP at a time, in order."""
+
+    @pytest.fixture()
+    def setup(self, capsys, tmp_path, corpus_path):
+        ckpt = train_tiny(capsys, corpus_path, tmp_path, steps="20")
+        many = tmp_path / "many.jsonl"   # more than one group, past both clipping limits
+        write_corpus(many, make_synthetic_corpus(INFERENCE_GROUP + 5, seed=13,
+                                                 n_sentences=(2, 10), words_per_sentence=(2, 8)))
+        return ckpt, many
+
+    def select_mcs(self, capsys, src, out, ckpt):
+        return run(capsys, "select", "--input", str(src), "--output", str(out),
+                   "--method", "mcs", "--budget", "12", "--checkpoint", str(ckpt))[0]
+
+    def test_select_is_the_walk_over_the_score_dump(self, capsys, tmp_path, setup):
+        ckpt, many = setup
+        scores, picked = tmp_path / "scores.jsonl", tmp_path / "picked.jsonl"
+        assert run(capsys, "score", "--input", str(many), "--checkpoint", str(ckpt),
+                   "--output", str(scores))[0] == 0
+        assert self.select_mcs(capsys, many, picked, ckpt) == 0
+        by_doc: dict[str, list] = {}
+        for row in read_jsonl(scores):
+            by_doc.setdefault(row["id"], []).append(row["fused"])
+        examples = load_corpus(many)
+        lines = read_jsonl(picked)
+        assert len(lines) == len(examples) > INFERENCE_GROUP
+        for ex, line in zip(examples, lines):
+            fused = by_doc[ex.doc.id]
+            assert len(fused) == ex.doc.n_sentences
+            walk = select(ex.doc, "model", 12, scorer=lambda d, s=fused: s)
+            assert line == walk.to_record(ex.doc)
+
+    @pytest.mark.parametrize("bad", ["nope", '{"sentences": []}'])
+    def test_malformed_line_fails_alone(self, capsys, tmp_path, setup, bad):
+        ckpt, many = setup
+        lines = many.read_text().splitlines()
+        middle = len(lines) // 2
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines[:middle] + [bad] + lines[middle:]) + "\n")
+        clean_out, broken_out = tmp_path / "clean.jsonl", tmp_path / "broken-out.jsonl"
+        assert self.select_mcs(capsys, many, clean_out, ckpt) == 0
+        assert self.select_mcs(capsys, broken, broken_out, ckpt) == 1
+        out = broken_out.read_text().splitlines(keepends=True)
+        error = json.loads(out.pop(middle))
+        assert error["line"] == middle + 1 and error["error"].startswith(f"line {middle + 1}: ")
+        assert "".join(out) == clean_out.read_text()
+
+    def test_empty_input_gives_empty_output(self, capsys, tmp_path, setup):
+        ckpt, _ = setup
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "out.jsonl"
+        empty.write_text("")
+        assert run(capsys, "score", "--input", str(empty), "--checkpoint", str(ckpt),
+                   "--output", str(out))[0] == 0
+        assert out.read_bytes() == b""
+        assert self.select_mcs(capsys, empty, out, ckpt) == 0
+        assert out.read_bytes() == b""
 
 
 def check_scores_and_selection(corpus_path, scores_path, sel_path, max_sentences):

