@@ -538,7 +538,7 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
 
 
 class GruParams:
-    """Parameters of one gated recurrent unit.
+    """Parameters of one gated recurrent unit, stored as its three gate blocks.
 
     Update rule (reset gate r, update gate z, candidate n):
 
@@ -547,56 +547,40 @@ class GruParams:
         n = tanh(x Wn + r * (h Un) + bn)
         out = (1 - z) * n + z * h
 
-    Input-side weights are [d_in x d_h]; hidden-side [d_h x d_h].
+    The gates sit side by side in r | z | n order: ``wx`` = [Wr|Wz|Wn]
+    [d_in x 3h], ``wh`` = [Ur|Uz|Un] [h x 3h] and ``b`` = [br|bz|bn] [3h].
     """
 
-    FIELDS = ("wx_r", "wh_r", "b_r", "wx_z", "wh_z", "b_z", "wx_n", "wh_n", "b_n")
+    FIELDS = ("wx", "wh", "b")
 
-    def __init__(self, wx_r, wh_r, b_r, wx_z, wh_z, b_z, wx_n, wh_n, b_n):
-        self.wx_r, self.wh_r, self.b_r = wx_r, wh_r, b_r
-        self.wx_z, self.wh_z, self.b_z = wx_z, wh_z, b_z
-        self.wx_n, self.wh_n, self.b_n = wx_n, wh_n, b_n
-        d_in, d_h = self.wx_r.shape
-        for name in self.FIELDS:
-            t = getattr(self, name)
-            want = (d_in, d_h) if name.startswith("wx") else ((d_h, d_h) if name.startswith("wh") else (d_h,))
-            if t.shape != want:
-                raise DimensionError(f"GRU parameter {name} has shape {t.shape}, expected {want}")
+    def __init__(self, wx: Tensor, wh: Tensor, b: Tensor):
+        self.wx, self.wh, self.b = wx, wh, b
+        if not (wx.ndim == 2 and wx.shape[1] % 3 == 0 and b.shape == wx.shape[1:]
+                and wh.shape == (wx.shape[1] // 3, wx.shape[1])):
+            raise DimensionError(f"GRU gate blocks wx {wx.shape}, wh {wh.shape}, b {b.shape} "
+                                 f"are not [d_in x 3h], [h x 3h], [3h]")
 
     @property
     def d_in(self) -> int:
-        return self.wx_r.shape[0]
+        return self.wx.shape[0]
 
     @property
     def d_h(self) -> int:
-        return self.wx_r.shape[1]
+        return self.wh.shape[0]
 
     def tensors(self) -> tuple[Tensor, ...]:
-        return tuple(getattr(self, name) for name in self.FIELDS)
+        return self.wx, self.wh, self.b
 
     @classmethod
     def init(cls, d_in: int, d_h: int, rng: np.random.Generator, scale: float = 0.25) -> "GruParams":
-        def w(rows, cols):
+        def w(rows):
             bound = scale / math.sqrt(rows)
-            return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
+            return rng.uniform(-bound, bound, size=(rows, d_h))
 
-        return cls(
-            w(d_in, d_h), w(d_h, d_h), parameter(np.zeros(d_h)),
-            w(d_in, d_h), w(d_h, d_h), parameter(np.zeros(d_h)),
-            w(d_in, d_h), w(d_h, d_h), parameter(np.zeros(d_h)),
-        )
-
-
-def _fused_gates(params: GruParams) -> tuple[Array, Array, Array]:
-    """Gate weights side by side in r | z | n order: Wx [d_in x 3h], Wh [h x 3h], b [3h]."""
-    tensors = params.tensors()
-    return tuple(np.concatenate([t.data for t in tensors[k::3]], axis=-1) for k in range(3))
-
-
-def _split_gates(dwx: Array, dwh: Array, db: Array) -> tuple[Array, ...]:
-    """Fused-gate gradients back to the nine parameters, in ``GruParams.FIELDS`` order."""
-    return tuple(g for gate in zip(*(np.split(a, 3, axis=-1) for a in (dwx, dwh, db)))
-                 for g in gate)
+        # drawn as Wr, Ur, Wz, Uz, Wn, Un: this order fixes a seeded model's values
+        gates = [(w(d_in), w(d_h)) for _ in range(3)]
+        return cls(*(parameter(np.concatenate(side, axis=1)) for side in zip(*gates)),
+                   parameter(np.zeros(3 * d_h)))
 
 
 def _gru_step(xw: Array, h: Array, wh: Array) -> tuple[Array, tuple]:
@@ -641,7 +625,7 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:
             f"gru_cell feature dims (x {x.shape}, h {h_prev.shape}) do not match "
             f"params (d_in={params.d_in}, d_h={params.d_h})"
         )
-    wx, wh, b = _fused_gates(params)
+    wx, wh, b = params.wx.data, params.wh.data, params.b.data
     out, cache = _gru_step(xd @ wx + b, hd, wh)
 
     def bwd(g):
@@ -649,7 +633,7 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:
         dxd = da_x @ wx.T
         if squeeze:
             dxd, dh = dxd[0], dh[0]
-        return (dxd, dh) + _split_gates(xd.T @ da_x, hd.T @ da_h, da_x.sum(axis=0))
+        return dxd, dh, xd.T @ da_x, hd.T @ da_h, da_x.sum(axis=0)
 
     return _apply(out[0] if squeeze else out, (x, h_prev) + params.tensors(), bwd)
 
@@ -682,7 +666,7 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams, reverse: bool = Fals
     if h0 is not None and h0.shape != (rows, d):
         raise DimensionError(f"gru_sequence got h0 {h0.shape}, expected {(rows, d)}")
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    wx, wh, b = _fused_gates(params)
+    wx, wh, b = params.wx.data, params.wh.data, params.b.data
     xw = (xd.reshape(-1, d_in) @ wx + b).reshape(rows, steps, 3 * d)
     states = np.empty((rows, steps, d))
     caches = []
@@ -707,10 +691,9 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams, reverse: bool = Fals
                                                              caches[k], wh)
         flat_x = da_x.reshape(-1, 3 * d)
         h_prev = np.stack([cache[0] for cache in caches]).reshape(-1, d)
-        grads = _split_gates(xd.reshape(-1, d_in).T @ flat_x,
-                             h_prev.T @ da_h.reshape(-1, 3 * d), flat_x.sum(axis=0))
         dx = (flat_x @ wx.T).reshape(xd.shape)
-        return (dx,) + grads + (() if h0 is None else (passed + carried,))
+        return (dx, xd.reshape(-1, d_in).T @ flat_x, h_prev.T @ da_h.reshape(-1, 3 * d),
+                flat_x.sum(axis=0)) + (() if h0 is None else (passed + carried,))
 
     out = _apply(states, (x,) + params.tensors() + (() if h0 is None else (h0,)), bwd)
     return out, getitem(out, (slice(None), 0 if reverse else steps - 1))

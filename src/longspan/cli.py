@@ -362,16 +362,15 @@ def cmd_analyze_attention(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# train-mcs has one flag per TrainSettings and McsConfig field, defaulting to the field's
-# value; settings flags are checked as they parse, and McsConfig checks its own fields
+# train-mcs has one flag per TrainSettings and McsConfig field except vocab_size, with the
+# field's default; settings flags are checked as they parse, and McsConfig checks its own fields
 _SETTINGS_TYPES = {"steps": _positive, "batch_size": _positive, "warmup": _positive,
                    "lr_scale": _positive_real, "seed": _seed, "val_fraction": _fraction,
                    "val_every": _positive, "patience": _positive}
 
 
 def _flag_fields(cls) -> list[dataclasses.Field]:
-    """Fields of ``cls`` with a flag (vocab_size is the corpus's; one decoder layer is fixed)."""
-    return [f for f in dataclasses.fields(cls) if f.name not in ("vocab_size", "decoder_layers")]
+    return [f for f in dataclasses.fields(cls) if f.name != "vocab_size"]
 
 
 def _from_flags(cls, args, **fixed):

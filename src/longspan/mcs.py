@@ -59,7 +59,6 @@ class McsConfig:
     hidden_dim: int = 64
     word_layers: int = 2
     sent_layers: int = 2
-    decoder_layers: int = 1
     dropout: float = 0.1
     gamma: float = 0.2
     max_sentences: int = 16
@@ -71,8 +70,6 @@ class McsConfig:
                      "sent_layers", "max_sentences", "max_words", "max_target"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be positive")
-        if self.decoder_layers != 1:
-            raise DomainError("the decoder is a single-layer recurrence")
         if self.hidden_dim % 2 != 0:
             raise DomainError("hidden_dim must be even (split across directions)")
         if not 0.0 <= self.gamma <= 1.0:

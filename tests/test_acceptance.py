@@ -203,7 +203,7 @@ def test_criterion_4_gradient_suite():
     h = ad.parameter(rng.normal(size=4))
     probe = rng.normal(size=4)
     check_grad_fd(lambda: ad.tsum(ad.mul(ad.gru_cell(x, h, gru), ad.Tensor(probe))),
-                  [x, h, *gru.tensors()], max_coords=3)
+                  [x, h, *gru.tensors()], max_coords=9)
 
     # 2+2-layer toy seq2seq cross-entropy
     cfg = attention.ToyModelConfig(vocab=13, d_model=8, n_heads=2, enc_layers=2,
@@ -227,7 +227,7 @@ def test_criterion_4_gradient_suite():
     labels = np.array([1.0, 0.0])
     params = model.parameters()
     subset = [params["embed"], params["cls.w"], params["dec.out.w"],
-              params["word.0.f.wx_r"], params["sent.0.b.wh_n"], params["dec.comb.w"]]
+              params["word.0.f.wx"], params["sent.0.b.wh"], params["dec.comb.w"]]
     for gamma in (0.0, 0.2, 1.0):
         check_grad_fd(
             lambda: model.mcs_loss(doc, target, labels, gamma=gamma),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from longspan import autodiff as ad
@@ -185,15 +185,48 @@ class TestMaskedSoftmax:
         assert np.array_equal(grad_none, grad_all)
 
 
+def gru_blocks(wx_shape, wh_shape, b_shape):
+    """GruParams from zero gate blocks of the given shapes."""
+    return ad.GruParams(*(ad.parameter(np.zeros(s)) for s in (wx_shape, wh_shape, b_shape)))
+
+
+shapes = st.lists(st.integers(0, 7), min_size=1, max_size=3).map(tuple)
+
+
+class TestGruParamsShapes:
+    @settings(max_examples=40, deadline=None)
+    @given(d_in=st.integers(1, 6), d_h=st.integers(1, 6))
+    def test_valid_blocks_give_their_dims(self, d_in, d_h):
+        p = gru_blocks((d_in, 3 * d_h), (d_h, 3 * d_h), (3 * d_h,))
+        assert (p.d_in, p.d_h) == (d_in, d_h)
+        assert p.tensors() == (p.wx, p.wh, p.b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d_in=st.integers(1, 6), cols=st.integers(1, 20).filter(lambda c: c % 3))
+    def test_wx_columns_not_a_multiple_of_three(self, d_in, cols):
+        # wh and b agree with wx's column count, so only the gate split can fail
+        with pytest.raises(DimensionError):
+            gru_blocks((d_in, cols), (cols // 3, cols), (cols,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d_in=st.integers(1, 6), d_h=st.integers(1, 6), wh_shape=shapes)
+    def test_wh_not_h_by_3h(self, d_in, d_h, wh_shape):
+        assume(wh_shape != (d_h, 3 * d_h))
+        with pytest.raises(DimensionError):
+            gru_blocks((d_in, 3 * d_h), wh_shape, (3 * d_h,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d_in=st.integers(1, 6), d_h=st.integers(1, 6), b_shape=shapes)
+    def test_b_not_3h(self, d_in, d_h, b_shape):
+        assume(b_shape != (3 * d_h,))
+        with pytest.raises(DimensionError):
+            gru_blocks((d_in, 3 * d_h), (d_h, 3 * d_h), b_shape)
+
+
 class TestGruCell:
     @staticmethod
     def zero_params(d_in, d_h):
-        zeros = lambda *s: ad.parameter(np.zeros(s))
-        return ad.GruParams(
-            zeros(d_in, d_h), zeros(d_h, d_h), zeros(d_h),
-            zeros(d_in, d_h), zeros(d_h, d_h), zeros(d_h),
-            zeros(d_in, d_h), zeros(d_h, d_h), zeros(d_h),
-        )
+        return gru_blocks((d_in, 3 * d_h), (d_h, 3 * d_h), (3 * d_h,))
 
     def test_zero_params_zero_state(self):
         p = self.zero_params(3, 4)
@@ -201,8 +234,9 @@ class TestGruCell:
         np.testing.assert_array_equal(out.data, np.zeros(4))
 
     def test_saturated_update_gate_passes_state_through(self):
-        p = self.zero_params(3, 4)
-        p.b_z.data[:] = 50.0  # update gate ~1 keeps the previous state
+        d_h = 4
+        p = self.zero_params(3, d_h)
+        p.b.data[d_h : 2 * d_h] = 50.0  # update gate (block z) ~1 keeps the previous state
         h_prev = np.array([0.3, -1.2, 0.5, 2.0])
         out = ad.gru_cell(ad.Tensor(np.ones(3)), ad.Tensor(h_prev), p)
         np.testing.assert_allclose(out.data, h_prev, atol=1e-6)
@@ -219,14 +253,20 @@ class TestGruCell:
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
+        def gate(k):
+            """Wx, Wh and b of gate k (r, z, n): column block k of each stored block."""
+            cols = slice(k * d_h, (k + 1) * d_h)
+            return p.wx.data[:, cols], p.wh.data[:, cols], p.b.data[cols]
+
+        (wr, ur, br), (wz, uz, bz), (wn, un, bn) = gate(0), gate(1), gate(2)
         expected = np.zeros(d_h)
         for j in range(d_h):
-            ar = sum(x[i] * p.wx_r.data[i, j] for i in range(d_in))
-            ar += sum(h[i] * p.wh_r.data[i, j] for i in range(d_h)) + p.b_r.data[j]
-            az = sum(x[i] * p.wx_z.data[i, j] for i in range(d_in))
-            az += sum(h[i] * p.wh_z.data[i, j] for i in range(d_h)) + p.b_z.data[j]
-            an = sum(x[i] * p.wx_n.data[i, j] for i in range(d_in))
-            an += sig(ar) * sum(h[i] * p.wh_n.data[i, j] for i in range(d_h)) + p.b_n.data[j]
+            ar = sum(x[i] * wr[i, j] for i in range(d_in))
+            ar += sum(h[i] * ur[i, j] for i in range(d_h)) + br[j]
+            az = sum(x[i] * wz[i, j] for i in range(d_in))
+            az += sum(h[i] * uz[i, j] for i in range(d_h)) + bz[j]
+            an = sum(x[i] * wn[i, j] for i in range(d_in))
+            an += sig(ar) * sum(h[i] * un[i, j] for i in range(d_h)) + bn[j]
             n = math.tanh(an)
             expected[j] = (1.0 - sig(az)) * n + sig(az) * h[j]
 
@@ -376,7 +416,7 @@ class TestPerOpGradients:
                 out = ad.gru_cell(x, h, p)
                 return ad.tsum(ad.mul(out, weights))
 
-            check_grad_fd(f, [x, h, *p.tensors()], max_coords=3, seed=seed)
+            check_grad_fd(f, [x, h, *p.tensors()], max_coords=9, seed=seed)
 
     def test_masked_softmax_gradient(self):
         for seed in range(20):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from longspan import checkpoint as ckpt
 from longspan.attention import ToyModelConfig, ToySeq2Seq, load_toy_model
-from longspan.autodiff import parameter
-from longspan.corpus import Vocab
+from longspan.autodiff import GruParams, parameter
+from longspan.cli import main
+from longspan.corpus import Document, Example, Vocab, write_corpus
 from longspan.errors import FormatError
 from longspan.mcs import McsConfig, McsModel
 
@@ -161,9 +162,8 @@ def _spoiled(model, path, spoil):
 # The config keys a checkpoint stores: a field added, removed or renamed in
 # McsConfig or ToyModelConfig changes the checkpoint format.
 STORED_CONFIG_KEYS = {
-    "McsConfig": ["decoder_layers", "dropout", "embed_dim", "gamma", "hidden_dim",
-                  "max_sentences", "max_target", "max_words", "sent_layers", "vocab_size",
-                  "word_layers"],
+    "McsConfig": ["dropout", "embed_dim", "gamma", "hidden_dim", "max_sentences",
+                  "max_target", "max_words", "sent_layers", "vocab_size", "word_layers"],
     "ToyModelConfig": ["bos_id", "d_model", "dec_layers", "enc_layers", "ffn_dim", "max_src",
                        "max_tgt", "n_heads", "pos_base_len", "vocab", "window"],
 }
@@ -231,6 +231,35 @@ class TestModelRestore:
             load(path)
         except FormatError:
             pass
+
+
+def test_nine_tensor_gru_layout_is_refused(tmp_path, capsys):
+    """A checkpoint with each GRU as nine per-gate tensors (wx_r ... b_n) does not load."""
+    model, load = _small_mcs()
+    path = tmp_path / "m.lsnt"
+    model.save(path)
+    tensors, meta = ckpt.load_tensors(path)
+    grus = {name.rpartition(".")[0] for name in tensors if name.endswith(".wx")}
+    assert len(grus) == 5  # word.0.f/b, sent.0.f/b, dec.gru
+    split = {}
+    for name, arr in tensors.items():
+        prefix, _, field = name.rpartition(".")
+        if prefix not in grus:
+            split[name] = arr
+            continue
+        for gate, block in zip("rzn", np.split(arr, 3, axis=-1)):
+            split[f"{prefix}.{field}_{gate}"] = block
+    assert len(split) == len(tensors) + 2 * len(grus) * len(GruParams.FIELDS)
+    ckpt.save_tensors(path, split, meta)
+    with pytest.raises(FormatError, match="do not match the model layout"):
+        load(path)
+
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, [Example(Document([["a", "b"]]), ["a"])])
+    code = main(["score", "--input", str(corpus), "--checkpoint", str(path),
+                 "--output", str(tmp_path / "scores.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: checkpoint tensors do not match the model layout\n"
 
 
 @pytest.mark.parametrize("vocab", [7, ["a", "a"], ["a"]], ids=["int", "duplicate", "short"])

@@ -87,8 +87,8 @@ class TestEncode:
             return ad.tsum(ad.mul(enc.sent_states, ad.Tensor(probe)))
 
         params = model.parameters()
-        subset = [params["embed"], params["word.0.f.wx_r"], params["word.0.b.wh_n"],
-                  params["sent.0.f.wx_z"], params["sent.0.b.wh_r"]]
+        subset = [params["embed"], params["word.0.f.wx"], params["word.0.b.wh"],
+                  params["sent.0.f.wx"], params["sent.0.b.wh"]]
         check_grad_fd(f, subset, max_coords=3)
 
     def test_empty_document_rejected(self):
@@ -133,9 +133,9 @@ class TestSeq2SeqLoss:
         doc = doc_of("w1 w2", "w3 w4")
         target = ["w2", "w3"]
         params = model.parameters()
-        subset = [params["embed"], params["dec.gru.wx_n"], params["dec.att_sent.w"],
+        subset = [params["embed"], params["dec.gru.wx"], params["dec.att_sent.w"],
                   params["dec.att_word.w"], params["dec.comb.w"], params["dec.out.w"],
-                  params["word.0.f.wh_z"], params["sent.0.b.wx_n"]]
+                  params["word.0.f.wh"], params["sent.0.b.wx"]]
         check_grad_fd(lambda: seq2seq_loss(model, doc, target), subset, max_coords=3)
 
     def test_overfit_single_pair_strictly_decreases(self):
@@ -197,7 +197,7 @@ class TestLabelLoss:
         labels = np.array([1.0, 0.0])
         params = model.parameters()
         subset = [params["cls.w"], params["cls.b"], params["embed"],
-                  params["sent.0.f.wh_n"]]
+                  params["sent.0.f.wh"]]
         check_grad_fd(lambda: label_loss(model, doc, labels), subset, max_coords=4)
 
     def test_wrong_label_length(self):
@@ -241,7 +241,7 @@ class TestMixedLoss:
     def test_gradients_at_gammas(self, gamma):
         params = self.model.parameters()
         subset = [params["embed"], params["cls.w"], params["dec.out.w"],
-                  params["word.0.f.wx_r"], params["dec.comb.w"]]
+                  params["word.0.f.wx"], params["dec.comb.w"]]
         check_grad_fd(
             lambda: self.model.mcs_loss(self.doc, self.target, self.labels, gamma=gamma),
             subset, max_coords=3,
@@ -260,7 +260,8 @@ class TestMixedLoss:
             loss = self.model.mcs_loss(self.doc, self.target, self.labels, gamma=1.0)
             tape.backward(loss)
         assert self.model.params["dec.out.w"].grad is None
-        assert self.model.params["dec.gru.wx_r"].grad is None
+        for name in ad.GruParams.FIELDS:
+            assert self.model.params[f"dec.gru.{name}"].grad is None
         assert self.model.params["cls.w"].grad is not None
         tape.zero_grads()
 
