@@ -583,61 +583,6 @@ class GruParams:
                    parameter(np.zeros(3 * d_h)))
 
 
-def _gru_step(xw: Array, h: Array, wh: Array) -> tuple[Array, tuple]:
-    """One row-batched step from its input projection ``xw`` = x Wx + b [rows x 3h].
-
-    Returns the new state and the cache :func:`_gru_step_adjoint` reads.
-    """
-    d = h.shape[1]
-    hw = h @ wh
-    rz = _sigmoid(xw[:, : 2 * d] + hw[:, : 2 * d])
-    c = hw[:, 2 * d:]
-    n = np.tanh(xw[:, 2 * d:] + rz[:, :d] * c)
-    return n + rz[:, d:] * (h - n), (h, rz, c, n)
-
-
-def _gru_step_adjoint(g: Array, cache: tuple, wh: Array) -> tuple[Array, Array, Array]:
-    """Adjoint of :func:`_gru_step`: gradients of x Wx + b and of h Wh (each [rows x 3h]),
-    and of the previous state."""
-    h, rz, c, n = cache
-    d = h.shape[1]
-    r, z = rz[:, :d], rz[:, d:]
-    dan = g * (1.0 - z) * (1.0 - n * n)
-    da_x = np.empty((g.shape[0], 3 * d))
-    da_x[:, :d] = dan * c
-    da_x[:, d : 2 * d] = g * (h - n)
-    da_x[:, : 2 * d] *= rz * (1.0 - rz)
-    da_x[:, 2 * d:] = dan
-    da_h = da_x.copy()
-    da_h[:, 2 * d:] = dan * r
-    return da_x, da_h, g * z + da_h @ wh.T
-
-
-def gru_cell(x: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:
-    """One GRU step; ``x`` and ``h_prev`` are 1-D or row-batched 2-D."""
-    squeeze = x.ndim == 1
-    xd = x.data[None, :] if squeeze else x.data
-    hd = h_prev.data[None, :] if h_prev.ndim == 1 else h_prev.data
-    if xd.ndim != 2 or hd.ndim != 2 or xd.shape[0] != hd.shape[0]:
-        raise DimensionError(f"gru_cell got x {x.shape}, h_prev {h_prev.shape}")
-    if xd.shape[1] != params.d_in or hd.shape[1] != params.d_h:
-        raise DimensionError(
-            f"gru_cell feature dims (x {x.shape}, h {h_prev.shape}) do not match "
-            f"params (d_in={params.d_in}, d_h={params.d_h})"
-        )
-    wx, wh, b = params.wx.data, params.wh.data, params.b.data
-    out, cache = _gru_step(xd @ wx + b, hd, wh)
-
-    def bwd(g):
-        da_x, da_h, dh = _gru_step_adjoint(g[None, :] if squeeze else g, cache, wh)
-        dxd = da_x @ wx.T
-        if squeeze:
-            dxd, dh = dxd[0], dh[0]
-        return dxd, dh, xd.T @ da_x, hd.T @ da_h, da_x.sum(axis=0)
-
-    return _apply(out[0] if squeeze else out, (x, h_prev) + params.tensors(), bwd)
-
-
 def gru_sequence(x: Tensor, mask: Array, params: GruParams, reverse: bool = False,
                  h0: Tensor | None = None) -> tuple[Tensor, Tensor]:
     """GRU over axis 1 of ``x`` [rows x steps x d_in] from ``h0`` [rows x d_h] or zeros, as one op.
@@ -653,6 +598,7 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams, reverse: bool = Fals
     product.  Backpropagation through time runs inside the one record,
     latest step first, and keeps each step's gate adjoints; the input and
     parameter gradients are then one product each over the stacked steps.
+    This is the one GRU kernel: :func:`gru_cell` is its one-step case.
     """
     xd = x.data
     mask = np.asarray(mask, dtype=bool)
@@ -672,10 +618,13 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams, reverse: bool = Fals
     caches = []
     h = np.zeros((rows, d)) if h0 is None else h0.data
     for j in order:
-        h_new, cache = _gru_step(xw[:, j], h, wh)
-        h = np.where(mask[:, j : j + 1], h_new, h)
+        hw = h @ wh
+        rz = _sigmoid(xw[:, j, : 2 * d] + hw[:, : 2 * d])
+        c = hw[:, 2 * d:]
+        n = np.tanh(xw[:, j, 2 * d:] + rz[:, :d] * c)
+        caches.append((h, rz, c, n))
+        h = np.where(mask[:, j : j + 1], n + rz[:, d:] * (h - n), h)
         states[:, j] = h
-        caches.append(cache)
 
     def bwd(g):
         da_x = np.empty((rows, steps, 3 * d))
@@ -687,8 +636,17 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams, reverse: bool = Fals
             g_state = (g[:, j] + passed) + carried
             keep = mask[:, j : j + 1]
             passed = np.where(keep, 0.0, g_state)
-            da_x[:, j], da_h[k], carried = _gru_step_adjoint(np.where(keep, g_state, 0.0),
-                                                             caches[k], wh)
+            g_step = np.where(keep, g_state, 0.0)
+            h, rz, c, n = caches[k]
+            dan = g_step * (1.0 - rz[:, d:]) * (1.0 - n * n)
+            da = da_x[:, j]   # adjoints of x [Wr|Wz|Wn] + b; h [Ur|Uz|Un] differs in n
+            da[:, :d] = dan * c
+            da[:, d : 2 * d] = g_step * (h - n)
+            da[:, : 2 * d] *= rz * (1.0 - rz)
+            da[:, 2 * d:] = dan
+            da_h[k] = da
+            da_h[k, :, 2 * d:] = dan * rz[:, :d]
+            carried = g_step * rz[:, d:] + da_h[k] @ wh.T
         flat_x = da_x.reshape(-1, 3 * d)
         h_prev = np.stack([cache[0] for cache in caches]).reshape(-1, d)
         dx = (flat_x @ wx.T).reshape(xd.shape)
@@ -697,6 +655,21 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams, reverse: bool = Fals
 
     out = _apply(states, (x,) + params.tensors() + (() if h0 is None else (h0,)), bwd)
     return out, getitem(out, (slice(None), 0 if reverse else steps - 1))
+
+
+def gru_cell(x: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:
+    """One GRU step: :func:`gru_sequence` over a single valid step from ``h_prev``.
+
+    ``x`` [d_in] or [rows x d_in] and ``h_prev`` [d_h] or [rows x d_h]; the new
+    state has ``h_prev``'s shape.
+    """
+    if x.ndim not in (1, 2) or h_prev.ndim not in (1, 2):
+        raise DimensionError(f"gru_cell got x {x.shape}, h_prev {h_prev.shape}")
+    rows = x.shape[0] if x.ndim == 2 else 1
+    h0 = h_prev if h_prev.ndim == 2 else reshape(h_prev, (1, h_prev.shape[0]))
+    _, h = gru_sequence(reshape(x, (rows, 1, x.shape[-1])), np.ones((rows, 1), dtype=bool),
+                        params, h0=h0)
+    return reshape(h, h_prev.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -86,11 +86,8 @@ class Encoded:
     sentence count are empty, and their word states repeat sentence 0's.
     """
 
-    word_states: Tensor        # [S, J, hidden]
-    word_mask: np.ndarray      # [S, J] bool
     sent_states: Tensor        # [S, hidden]
     summary: Tensor            # [D, hidden]
-    n_sentences: int           # S
     sent_mask: np.ndarray      # [D, N1] bool: the slot holds a sentence
     slot_states: Tensor        # [D, N1, hidden] sentence states by slot
     slot_words: Tensor         # [D, N1*J, hidden] word states by slot
@@ -129,20 +126,10 @@ class McsScores:
         ]
 
 
-@dataclass
-class BeamResult:
-    tokens: list[int]            # generated ids, end token stripped
-    ended: bool                  # end token was produced
-    logprob: float
-    score: float                 # length-penalized
-    sent_attn: np.ndarray        # [decoded steps x N1], includes the end step
-
-
 class _Hypothesis(NamedTuple):
-    tokens: list[int]
+    tokens: list[int]     # generated ids, ending in the end token if it was produced
     logprob: float
-    step: int       # decode step that produced the last token (-1: none yet)
-    row: int        # its row in that step's batch
+    mass: np.ndarray      # [N1] sentence attention summed over its decoded steps
 
 
 def rank_normalize(scores: np.ndarray) -> np.ndarray:
@@ -295,13 +282,12 @@ class McsModel:
         drop = cfg.dropout if training else 0.0
         if drop > 0.0 and rng is None:
             raise DomainError("training-mode encode with dropout requires an rng")
-        x = ad.getitem(self.params["embed"], id_matrix)  # [S, J, e]
+        words = ad.getitem(self.params["embed"], id_matrix)  # [S, J, e], then [S, J, hidden]
         final_f = final_b = None
         for layer in range(cfg.word_layers):
             if layer > 0 and drop > 0.0:
-                x = ad.dropout(x, drop, rng)
-            x, final_f, final_b = self._bigru_sequence(x, mask, f"word.{layer}")
-        word_states = x
+                words = ad.dropout(words, drop, rng)
+            words, final_f, final_b = self._bigru_sequence(words, mask, f"word.{layer}")
         reps = ad.concat([final_f, final_b], axis=1)  # [S, hidden]
 
         seq = ad.getitem(reps, slot_rows)  # [D, N1, hidden]
@@ -316,14 +302,11 @@ class McsModel:
         slot_word_mask = mask[slot_rows]
         slot_word_mask[~sent_mask] = np.arange(j_max) == 0
         return Encoded(
-            word_states=word_states,
-            word_mask=mask,
             sent_states=ad.getitem(seq, np.nonzero(sent_mask)),
             summary=ad.concat([final_sf, final_sb], axis=1),
-            n_sentences=len(sentences),
             sent_mask=sent_mask,
             slot_states=seq,
-            slot_words=ad.getitem(word_states, word_slots),
+            slot_words=ad.getitem(words, word_slots),
             slot_word_mask=slot_word_mask,
         )
 
@@ -396,12 +379,16 @@ class McsModel:
 
     def _target_ids(self, target: Sequence) -> list[int]:
         cfg = self.config
+        if isinstance(target, str):
+            raise InputError("target must be a sequence of tokens, not one string")
         if len(target) == 0:
             raise InputError("target sequence is empty")
         if len(target) > cfg.max_target:
             raise InputError(f"target length {len(target)} exceeds limit {cfg.max_target}")
         if all(isinstance(t, str) for t in target):
             return self.vocab.encode(target)
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in target):
+            raise InputError("target must be all token strings or all integer token ids")
         ids = [int(t) for t in target]
         if min(ids) < 0 or max(ids) >= cfg.vocab_size:
             raise InputError("target token id outside the vocabulary")
@@ -473,7 +460,7 @@ class McsModel:
 
     def _beam_from_encoded(self, enc: Encoded, width: int = 4, length_penalty: float = 2.0,
                            min_len: int = 1, max_len: int | None = None,
-                           no_repeat_ngram: int = 3) -> list[BeamResult]:
+                           no_repeat_ngram: int = 3) -> list[_Hypothesis]:
         """Length-penalized beam decode of every document in ``enc``: the top hypothesis of each.
 
         The end token is suppressed while fewer than ``min_len`` tokens
@@ -488,40 +475,37 @@ class McsModel:
         tokens of each hypothesis (stable order, banned tokens dropped); a
         stable sort by log-probability then fills the finished pool (end
         token, at most ``width`` over the whole search) and the next live
-        beam (at most ``width``).  A hypothesis is its tokens,
-        log-probability and the row that produced its last token; the
-        winner's attention rows, one per decoded step including its end
-        step, are read back through the rows' parents.
+        beam (at most ``width``).  Each row's sentence-attention mass steps
+        with its decoder state, so a hypothesis carries the mass of every
+        step it decoded, its end step included.
         """
         if width < 1:
             raise DomainError(f"beam width must be >= 1, got {width}")
         max_len = self.config.max_target if max_len is None else int(max_len)
         start, memory = self._decoder_start(enc)
-        n_docs = start.shape[0]
+        n_docs, n1 = enc.sent_mask.shape
         n_rows = n_docs * width
         state = ad.getitem(start, np.repeat(np.arange(n_docs), width))
-        attn_steps: list[np.ndarray] = []      # [rows, N1] per step
-        parent_steps: list[list[int]] = []     # each row's row at step t - 1
-        live = [[_Hypothesis([], 0.0, -1, -1)] for _ in range(n_docs)]
+        mass = np.zeros((n_rows, n1))
+        live = [[_Hypothesis([], 0.0, mass[0])] for _ in range(n_docs)]
         finished: list[list[_Hypothesis]] = [[] for _ in range(n_docs)]
 
         def final_score(logprob: float, n_tokens: int) -> float:
             return logprob / (max(n_tokens, 1) ** length_penalty)
 
         for step in range(max_len):
-            prev, parents = [Vocab.BOS] * n_rows, [-1] * n_rows
+            prev = [Vocab.BOS] * n_rows
             logprobs = [-np.inf] * n_rows     # a free row has no candidates
             banned_rows, banned = [], []
             for d, hyps in enumerate(live):
                 for row, hyp in enumerate(hyps, start=d * width):
                     prev[row] = hyp.tokens[-1] if hyp.tokens else Vocab.BOS
-                    parents[row], logprobs[row] = hyp.row, hyp.logprob
+                    logprobs[row] = hyp.logprob
                     ban = self._banned_next(hyp.tokens, no_repeat_ngram)
                     banned_rows += [row] * len(ban)
                     banned += ban
             state, logits, alpha = self._decode_step(prev, state, memory)
-            attn_steps.append(alpha.data)
-            parent_steps.append(parents)
+            mass = mass + alpha.data
             logp = ad.log_softmax(logits).data
             if step + 1 < min_len:
                 logp[:, Vocab.EOS] = -np.inf
@@ -535,7 +519,7 @@ class McsModel:
             order, totals = order.tolist(), totals.tolist()
             next_rows = np.zeros(n_rows, dtype=np.intp)
             for d, ranked in enumerate(by_total.tolist()):
-                survivors, done = [], finished[d]
+                survivors, rows, done = [], [], finished[d]
                 for k in ranked:
                     total = totals[d][k]
                     if total == -np.inf:
@@ -545,39 +529,28 @@ class McsModel:
                     into = done if token == Vocab.EOS else survivors
                     if len(into) < width:
                         tokens = live[d][row - d * width].tokens + [token]
-                        into.append(_Hypothesis(tokens, total, step, row))
+                        into.append(_Hypothesis(tokens, total, mass[row]))
+                        if into is survivors:
+                            rows.append(row)
                         if len(survivors) >= width and len(done) >= width:
                             break
                 live[d] = survivors
-                next_rows[d * width : d * width + len(survivors)] = [h.row for h in survivors]
+                next_rows[d * width : d * width + len(rows)] = rows
             if not any(live):
                 break
             state = ad.getitem(state, next_rows)
+            mass = mass[next_rows]
 
-        counts = enc.sent_mask.sum(axis=1)
-        results = []
+        winners = []
         for d in range(n_docs):
             pool = finished[d] + live[d]
             if not pool:
                 raise DomainError("beam search produced no hypotheses")
-            best = max(
+            winners.append(max(
                 enumerate(pool),
                 key=lambda item: (final_score(item[1].logprob, len(item[1].tokens)), -item[0]),
-            )[1]
-            rows, step, row = [], best.step, best.row
-            while step >= 0:
-                rows.append(attn_steps[step][row, : counts[d]])
-                row = parent_steps[step][row]
-                step -= 1
-            ended = bool(best.tokens) and best.tokens[-1] == Vocab.EOS
-            results.append(BeamResult(
-                tokens=best.tokens[:-1] if ended else best.tokens,
-                ended=ended,
-                logprob=best.logprob,
-                score=final_score(best.logprob, len(best.tokens)),
-                sent_attn=np.vstack(rows[::-1]) if rows else np.zeros((0, counts[d])),
-            ))
-        return results
+            )[1])
+        return winners
 
     def inference_scores(self, *docs: Document) -> list[McsScores]:
         """Rank-fused classifier and attention channels of every sentence of each document.
@@ -596,8 +569,8 @@ class McsModel:
         bounds = np.cumsum(enc.sent_mask.sum(axis=1))[:-1]
         for doc, doc_z, beam in zip(docs, np.split(z_hat, bounds), beams):
             tail = np.zeros(doc.n_sentences - len(doc_z))
+            attn_mass = np.concatenate([beam.mass[: len(doc_z)], tail])
             doc_z = np.concatenate([doc_z, tail])
-            attn_mass = np.concatenate([beam.sent_attn.sum(axis=0), tail])
             scores.append(McsScores(doc_z, attn_mass,
                                     rank_normalize(doc_z) + rank_normalize(attn_mass)))
         return scores

@@ -96,13 +96,11 @@ def oracle_similarities(doc: Document, reference: Sequence[str]) -> list[float]:
     return [ngram_recall(sentence, reference, 2) for sentence in doc.sentences]
 
 
-def rank_oracle(doc: Document, reference: Sequence[str],
-                keep_nonpositive: bool = False) -> Ranking:
-    """Descending similarity to the reference; optionally keep zero-overlap sentences."""
+def rank_oracle(doc: Document, reference: Sequence[str]) -> Ranking:
+    """Descending similarity to the reference over the sentences that overlap it."""
     sims = oracle_similarities(doc, reference)
     order = sorted(range(doc.n_sentences), key=lambda i: (-sims[i], i))
-    if not keep_nonpositive:
-        order = [i for i in order if sims[i] > 0.0]
+    order = [i for i in order if sims[i] > 0.0]
     return Ranking(order, [sims[i] for i in order])
 
 

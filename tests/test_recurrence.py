@@ -1,6 +1,8 @@
 """Whole-sequence GRU op, teacher forcing, batched losses and batched beam search against
 step-by-step and per-document oracles."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,14 @@ class TestEncodeTape:
 # ---------------------------------------------------------------------------
 
 
+class Winner(NamedTuple):
+    """An oracle beam's top hypothesis: its tokens (ending in the end token if produced),
+    log-probability and sentence attention summed over its decoded steps."""
+    tokens: list
+    logprob: float
+    mass: np.ndarray
+
+
 def reference_beam(model, enc, width, length_penalty, min_len, max_len, no_repeat_ngram):
     """The per-hypothesis beam that the batched one replaced: one decoder step per live
     hypothesis, candidates as dicts that copy token and attention lists."""
@@ -217,15 +227,9 @@ def reference_beam(model, enc, width, length_penalty, min_len, max_len, no_repea
     best = max(enumerate(pool),
                key=lambda item: (final_score(item[1]["logprob"], len(item[1]["tokens"])),
                                  -item[0]))[1]
-    ended = bool(best["tokens"]) and best["tokens"][-1] == Vocab.EOS
-    return mcs.BeamResult(
-        tokens=best["tokens"][:-1] if ended else list(best["tokens"]),
-        ended=ended,
-        logprob=best["logprob"],
-        score=final_score(best["logprob"], len(best["tokens"])),
-        sent_attn=(np.vstack(best["attn"]) if best["attn"]
-                   else np.zeros((0, enc.n_sentences))),
-    )
+    return Winner(best["tokens"], best["logprob"],
+                  np.vstack(best["attn"]).sum(axis=0) if best["attn"]
+                  else np.zeros(enc.sent_mask.shape[1]))
 
 
 WORDS = [f"w{i}" for i in range(8)]
@@ -268,11 +272,9 @@ class TestBatchedBeam:
                 return
             [got] = model._beam_from_encoded(enc, **search)
         assert got.tokens == want.tokens
-        assert got.ended == want.ended
         assert abs(got.logprob - want.logprob) <= 1e-12
-        assert abs(got.score - want.score) <= 1e-12
-        assert got.sent_attn.shape == want.sent_attn.shape
-        assert np.abs(got.sent_attn - want.sent_attn).max(initial=0.0) <= 1e-12
+        assert got.mass.shape == want.mass.shape
+        assert np.abs(got.mass - want.mass).max() <= 1e-12
 
     def test_decode_step_rows_match_single_hypothesis_steps(self):
         vocab = Vocab(WORDS)
@@ -298,6 +300,15 @@ class TestBatchedBeam:
 # ---------------------------------------------------------------------------
 
 
+class StepHyp(NamedTuple):
+    """A hypothesis of the per-document oracle: the decode step and row that produced its
+    last token (-1 and -1 before the first step) lead back to its attention rows."""
+    tokens: list
+    logprob: float
+    step: int
+    row: int
+
+
 def per_document_beam(model, enc, width=4, length_penalty=2.0, min_len=1, max_len=None,
                       no_repeat_ngram=3):
     """The one-document beam that the lock-step group beam replaced: every live hypothesis
@@ -307,7 +318,7 @@ def per_document_beam(model, enc, width=4, length_penalty=2.0, min_len=1, max_le
     max_len = model.config.max_target if max_len is None else int(max_len)
     state, memory = model._decoder_start(enc)
     attn_steps, parent_steps = [], []
-    live = [mcs._Hypothesis([], 0.0, -1, -1)]
+    live = [StepHyp([], 0.0, -1, -1)]
     finished = []
 
     def final_score(logprob, n_tokens):
@@ -333,7 +344,7 @@ def per_document_beam(model, enc, width=4, length_penalty=2.0, min_len=1, max_le
         for row, token, total in zip(cand_rows[by_logprob].tolist(),
                                      order[finite][by_logprob].tolist(),
                                      totals[by_logprob].tolist()):
-            hyp = mcs._Hypothesis(live[row].tokens + [token], total, step, row)
+            hyp = StepHyp(live[row].tokens + [token], total, step, row)
             if token == Vocab.EOS:
                 if len(finished) < width:
                     finished.append(hyp)
@@ -356,14 +367,8 @@ def per_document_beam(model, enc, width=4, length_penalty=2.0, min_len=1, max_le
         rows.append(attn_steps[step][row])
         row = parent_steps[step][row]
         step -= 1
-    ended = bool(best.tokens) and best.tokens[-1] == Vocab.EOS
-    return mcs.BeamResult(
-        tokens=best.tokens[:-1] if ended else best.tokens,
-        ended=ended,
-        logprob=best.logprob,
-        score=final_score(best.logprob, len(best.tokens)),
-        sent_attn=np.vstack(rows[::-1]) if rows else np.zeros((0, enc.n_sentences)),
-    )
+    return Winner(best.tokens, best.logprob,
+                  np.vstack(rows[::-1]).sum(axis=0) if rows else np.zeros(enc.sent_mask.shape[1]))
 
 
 def per_document_scores(model, doc):
@@ -372,9 +377,9 @@ def per_document_scores(model, doc):
         enc = model.encode(doc)
         z_hat = model.classifier_scores(enc.sent_states).data
         beam = per_document_beam(model, enc)
-    tail = np.zeros(doc.n_sentences - enc.n_sentences)
+    tail = np.zeros(doc.n_sentences - enc.sent_mask.sum())
     z_hat = np.concatenate([z_hat, tail])
-    attn_mass = np.concatenate([beam.sent_attn.sum(axis=0), tail])
+    attn_mass = np.concatenate([beam.mass, tail])
     return mcs.McsScores(z_hat, attn_mass,
                          mcs.rank_normalize(z_hat) + mcs.rank_normalize(attn_mass))
 
@@ -422,11 +427,24 @@ class TestGroupBeam:
             got = model._beam_from_encoded(model.encode(*docs), **search)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert (g.tokens, g.ended) == (w.tokens, w.ended)
+            assert g.tokens == w.tokens
             assert abs(g.logprob - w.logprob) <= 1e-12
-            assert abs(g.score - w.score) <= 1e-12
-            assert g.sent_attn.shape == w.sent_attn.shape
-            assert np.abs(g.sent_attn - w.sent_attn).max(initial=0.0) <= 1e-12
+            assert np.abs(g.mass[: len(w.mass)] - w.mass).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=beam_groups())
+    def test_winner_mass_sums_to_its_step_count(self, problem):
+        model, docs, search = problem
+        with ad.no_grad():
+            enc = model.encode(*docs)
+            try:
+                winners = model._beam_from_encoded(enc, **search)
+            except DomainError:
+                return
+        for winner, real in zip(winners, enc.sent_mask):
+            # each decoded step, the end step included, adds one attention row summing to 1
+            assert abs(winner.mass.sum() - len(winner.tokens)) <= 1e-9
+            assert (winner.mass[~real] == 0.0).all()
 
     @settings(max_examples=40, deadline=None)
     @given(problem=beam_groups())

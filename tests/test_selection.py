@@ -56,11 +56,6 @@ class TestRankOracle:
         ranking = sel.rank_oracle(doc, ref)
         assert ranking.indices == [0, 3, 1]
 
-    def test_keep_nonpositive_keeps_everything(self):
-        doc = doc_from_words("a b", "c d", "e f")
-        ranking = sel.rank_oracle(doc, "a b".split(), keep_nonpositive=True)
-        assert sorted(ranking.indices) == [0, 1, 2]
-
     def test_tie_breaks_toward_smaller_index(self):
         doc = doc_from_words("a b z1", "a b z2", "c d")
         ranking = sel.rank_oracle(doc, "a b".split())
