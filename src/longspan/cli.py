@@ -93,14 +93,6 @@ def _positive_real(text: str) -> float:
     return value
 
 
-def _fraction(text: str) -> float:
-    """A share in [0, 1)."""
-    value = _number(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be a number in [0, 1), got {text!r}")
-    return value
-
-
 # analyze-attention keeps one [heads x N x N] float64 map per layer: 512 MiB at 4 heads
 _MAX_PROBE = 4096
 
@@ -363,12 +355,7 @@ def cmd_analyze_attention(args) -> int:
 
 
 # train-mcs has one flag per TrainSettings and McsConfig field except vocab_size, with the
-# field's default; settings flags are checked as they parse, and McsConfig checks its own fields
-_SETTINGS_TYPES = {"steps": _positive, "batch_size": _positive, "warmup": _positive,
-                   "lr_scale": _positive_real, "seed": _seed, "val_fraction": _fraction,
-                   "val_every": _positive, "patience": _positive}
-
-
+# field's default and type; each dataclass checks its own fields
 def _flag_fields(cls) -> list[dataclasses.Field]:
     return [f for f in dataclasses.fields(cls) if f.name != "vocab_size"]
 
@@ -380,13 +367,14 @@ def _from_flags(cls, args, **fixed):
 def cmd_train_mcs(args) -> int:
     try:  # checked before the corpus is read; the vocabulary size is set once it is built
         config = _from_flags(mcs.McsConfig, args, vocab_size=1)
+        settings = _from_flags(mcs.TrainSettings, args)
     except LongspanError as exc:
         raise UsageError(str(exc)) from None
     examples = load_corpus(args.input)
     vocab = Vocab.build(examples)
     model = mcs.McsModel.init(dataclasses.replace(config, vocab_size=len(vocab)), vocab,
                               seed=args.seed)
-    result = mcs.train(model, examples, settings=_from_flags(mcs.TrainSettings, args))
+    result = mcs.train(model, examples, settings=settings)
     model.save(args.output)
     curve_path = args.curve_file or (args.output + ".losses.jsonl")
     write_jsonl(curve_path, result.history)
@@ -526,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="checkpoint path")
     for f in _flag_fields(mcs.TrainSettings) + _flag_fields(mcs.McsConfig):
         p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
-                       type=_SETTINGS_TYPES.get(f.name, type(f.default)))
+                       type=type(f.default))
     p.add_argument("--curve-file", help="loss curve path (default <output>.losses.jsonl)")
     add_report(p)
     p.set_defaults(func=cmd_train_mcs)

@@ -446,18 +446,6 @@ class McsModel:
 
     # -- inference -----------------------------------------------------------
 
-    @staticmethod
-    def _banned_next(tokens: list[int], n: int) -> set[int]:
-        if n < 1 or len(tokens) + 1 < n:
-            return set()
-        prefix = tuple(tokens[len(tokens) - (n - 1):]) if n > 1 else ()
-        banned = set()
-        for i in range(len(tokens) - n + 1):
-            gram = tuple(tokens[i : i + n])
-            if gram[:-1] == prefix:
-                banned.add(gram[-1])
-        return banned
-
     def _beam_from_encoded(self, enc: Encoded, width: int = 4, length_penalty: float = 2.0,
                            min_len: int = 1, max_len: int | None = None,
                            no_repeat_ngram: int = 3) -> list[_Hypothesis]:
@@ -468,88 +456,88 @@ class McsModel:
         would repeat an ``no_repeat_ngram``-gram already present in the
         hypothesis are banned; ``max_len`` defaults to ``max_target``.
 
-        The documents decode in lock step, document d's live hypotheses in
-        rows d*width, d*width + 1, ... of one row batch; a free row steps
-        too, and its candidates are dropped.  Per document, each step's
-        candidates are, in live-beam order, the ``width + 1`` best next
-        tokens of each hypothesis (stable order, banned tokens dropped); a
-        stable sort by log-probability then fills the finished pool (end
-        token, at most ``width`` over the whole search) and the next live
-        beam (at most ``width``).  Each row's sentence-attention mass steps
-        with its decoder state, so a hypothesis carries the mass of every
-        step it decoded, its end step included.
+        The documents decode in lock step as [documents x width] rows of
+        tokens, log-probability (-inf on a free row) and sentence-attention
+        mass, which step with the decoder state, so a hypothesis carries the
+        mass of every step it decoded, its end step included.  Per document,
+        each step's candidates are, in row order, the ``width + 1`` best next
+        tokens of each row (stable order, banned tokens dropped); in stable
+        log-probability order, an end-token candidate finishes while fewer
+        than ``width`` have finished over the whole search, and any other
+        survives while fewer than ``width`` survive this step.  The winner
+        is the first best-scoring finished hypothesis unless a live one
+        scores strictly higher.
         """
         if width < 1:
             raise DomainError(f"beam width must be >= 1, got {width}")
         max_len = self.config.max_target if max_len is None else int(max_len)
         start, memory = self._decoder_start(enc)
         n_docs, n1 = enc.sent_mask.shape
-        n_rows = n_docs * width
-        state = ad.getitem(start, np.repeat(np.arange(n_docs), width))
-        mass = np.zeros((n_rows, n1))
-        live = [[_Hypothesis([], 0.0, mass[0])] for _ in range(n_docs)]
-        finished: list[list[_Hypothesis]] = [[] for _ in range(n_docs)]
-
-        def final_score(logprob: float, n_tokens: int) -> float:
-            return logprob / (max(n_tokens, 1) ** length_penalty)
+        docs = np.arange(n_docs)[:, None]
+        state = ad.getitem(start, docs.repeat(width))
+        tokens = np.zeros((n_docs, width, 0), dtype=np.intp)
+        logprob = np.full((n_docs, width), -np.inf)
+        logprob[:, 0] = 0.0
+        mass = np.zeros((n_docs, width, n1))
+        n_finished = np.zeros((n_docs, 1), dtype=np.intp)
+        best: list[_Hypothesis | None] = [None] * n_docs   # first best-scoring finished one
+        best_score = np.full(n_docs, -np.inf)
 
         for step in range(max_len):
-            prev = [Vocab.BOS] * n_rows
-            logprobs = [-np.inf] * n_rows     # a free row has no candidates
-            banned_rows, banned = [], []
-            for d, hyps in enumerate(live):
-                for row, hyp in enumerate(hyps, start=d * width):
-                    prev[row] = hyp.tokens[-1] if hyp.tokens else Vocab.BOS
-                    logprobs[row] = hyp.logprob
-                    ban = self._banned_next(hyp.tokens, no_repeat_ngram)
-                    banned_rows += [row] * len(ban)
-                    banned += ban
-            state, logits, alpha = self._decode_step(prev, state, memory)
-            mass = mass + alpha.data
-            logp = ad.log_softmax(logits).data
+            prev = tokens[..., -1] if step else np.full((n_docs, width), Vocab.BOS)
+            state, logits, alpha = self._decode_step(prev.ravel(), state, memory)
+            mass = mass + alpha.data.reshape(mass.shape)
+            logp = ad.log_softmax(logits).data.reshape(n_docs, width, -1)
             if step + 1 < min_len:
-                logp[:, Vocab.EOS] = -np.inf
-            logp[banned_rows, banned] = -np.inf
-            order = np.argsort(-logp, axis=1, kind="stable")[:, : width + 1]
-            ranks = order.shape[1]     # width + 1, or fewer in a smaller vocabulary
-            # per document, candidates read row-major: beam order, then rank
-            totals = np.array(logprobs)[:, None] + np.take_along_axis(logp, order, axis=1)
-            totals = totals.reshape(n_docs, width * ranks)
+                logp[..., Vocab.EOS] = -np.inf
+            n = no_repeat_ngram
+            if 1 <= n <= step:   # each earlier n-gram whose first n - 1 tokens end the row
+                grams = np.lib.stride_tricks.sliding_window_view(tokens, n, axis=2)
+                d, w, i = np.nonzero((grams[..., :-1] == tokens[..., None, step - n + 1:]).all(-1))
+                logp[d, w, grams[d, w, i, -1]] = -np.inf
+            order = np.argsort(-logp, axis=2, kind="stable")[..., : width + 1]
+            ranks = order.shape[2]     # width + 1, or fewer in a smaller vocabulary
+            # per document, candidates read row-major (row, then rank), then by total
+            totals = logprob[..., None] + np.take_along_axis(logp, order, axis=2)
+            totals = totals.reshape(n_docs, -1)
             by_total = np.argsort(-totals, axis=1, kind="stable")   # dropped ones sort last
-            order, totals = order.tolist(), totals.tolist()
-            next_rows = np.zeros(n_rows, dtype=np.intp)
-            for d, ranked in enumerate(by_total.tolist()):
-                survivors, rows, done = [], [], finished[d]
-                for k in ranked:
-                    total = totals[d][k]
-                    if total == -np.inf:
-                        break
-                    row = d * width + k // ranks
-                    token = order[row][k % ranks]
-                    into = done if token == Vocab.EOS else survivors
-                    if len(into) < width:
-                        tokens = live[d][row - d * width].tokens + [token]
-                        into.append(_Hypothesis(tokens, total, mass[row]))
-                        if into is survivors:
-                            rows.append(row)
-                        if len(survivors) >= width and len(done) >= width:
-                            break
-                live[d] = survivors
-                next_rows[d * width : d * width + len(rows)] = rows
-            if not any(live):
+            totals = np.take_along_axis(totals, by_total, axis=1)
+            next_tokens = np.take_along_axis(order.reshape(n_docs, -1), by_total, axis=1)
+            parents = by_total // ranks
+            ends = (next_tokens == Vocab.EOS) & np.isfinite(totals)
+            grows = (next_tokens != Vocab.EOS) & np.isfinite(totals)
+            ends &= n_finished + np.cumsum(ends, axis=1) <= width
+            grows &= np.cumsum(grows, axis=1) <= width
+            n_finished += ends.sum(axis=1, keepdims=True)
+            for d, k in zip(*np.nonzero(ends)):
+                score = totals[d, k] / (step + 1) ** length_penalty
+                if score > best_score[d]:
+                    row = parents[d, k]
+                    best_score[d] = score
+                    best[d] = _Hypothesis(tokens[d, row].tolist() + [Vocab.EOS],
+                                          float(totals[d, k]), mass[d, row])
+            front = np.argsort(~grows, axis=1, kind="stable")[:, :width]   # survivors first
+            rows = np.take_along_axis(parents, front, axis=1)
+            tokens = np.concatenate(
+                [tokens[docs, rows], np.take_along_axis(next_tokens, front, axis=1)[..., None]],
+                axis=2)
+            logprob = np.where(np.take_along_axis(grows, front, axis=1),
+                               np.take_along_axis(totals, front, axis=1), -np.inf)
+            if not np.isfinite(logprob).any():
                 break
-            state = ad.getitem(state, next_rows)
-            mass = mass[next_rows]
+            state = ad.getitem(state, (docs * width + rows).ravel())
+            mass = mass[docs, rows]
 
+        scores = logprob / max(tokens.shape[2], 1) ** length_penalty
         winners = []
-        for d in range(n_docs):
-            pool = finished[d] + live[d]
-            if not pool:
+        for d, row in enumerate(np.argmax(scores, axis=1)):   # a free row scores -inf
+            if scores[d, row] > best_score[d]:
+                winners.append(_Hypothesis(tokens[d, row].tolist(), float(logprob[d, row]),
+                                           mass[d, row]))
+            elif best[d] is None:
                 raise DomainError("beam search produced no hypotheses")
-            winners.append(max(
-                enumerate(pool),
-                key=lambda item: (final_score(item[1].logprob, len(item[1].tokens)), -item[0]),
-            )[1])
+            else:
+                winners.append(best[d])
         return winners
 
     def inference_scores(self, *docs: Document) -> list[McsScores]:
@@ -652,6 +640,18 @@ class TrainSettings:
     val_fraction: float = 0.2
     val_every: int = 50
     patience: int = 3
+
+    def __post_init__(self):
+        for name in ("steps", "batch_size", "warmup", "val_every", "patience"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        # NaN cannot go into a JSON report, and a negative rate ascends
+        if not 0.0 < self.lr_scale < math.inf:
+            raise DomainError(f"lr_scale must be a finite number > 0, got {self.lr_scale}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise DomainError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
 @dataclass

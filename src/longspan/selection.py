@@ -43,20 +43,13 @@ METHOD_ORC_PAD_RAND = "orc-pad-rand"
 
 @dataclass
 class Ranking:
-    """Sentence indices in rank order with their (non-increasing) scores."""
+    """Sentence indices in rank order."""
 
     indices: list[int]
-    scores: list[float] | None
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
             raise DomainError("ranking contains duplicate sentence indices")
-        if self.scores is not None:
-            if len(self.scores) != len(self.indices):
-                raise DomainError("ranking scores do not align with indices")
-            for a, b in zip(self.scores, self.scores[1:]):
-                if b > a + 1e-12:
-                    raise DomainError("ranking scores must be non-increasing")
 
 
 @dataclass
@@ -68,7 +61,6 @@ class Selection:
     """
 
     indices: list[int]
-    budget: int
     words_used: int
     first_sentence_cut: int | None = field(default=None, kw_only=True)
 
@@ -86,7 +78,7 @@ class Selection:
 
 def rank_trc(doc: Document) -> Ranking:
     """Original position order."""
-    return Ranking(list(range(doc.n_sentences)), None)
+    return Ranking(list(range(doc.n_sentences)))
 
 
 def oracle_similarities(doc: Document, reference: Sequence[str]) -> list[float]:
@@ -100,8 +92,7 @@ def rank_oracle(doc: Document, reference: Sequence[str]) -> Ranking:
     """Descending similarity to the reference over the sentences that overlap it."""
     sims = oracle_similarities(doc, reference)
     order = sorted(range(doc.n_sentences), key=lambda i: (-sims[i], i))
-    order = [i for i in order if sims[i] > 0.0]
-    return Ranking(order, [sims[i] for i in order])
+    return Ranking([i for i in order if sims[i] > 0.0])
 
 
 def rank_model(doc: Document, scorer: Callable[[Document], Sequence[float]]) -> Ranking:
@@ -113,8 +104,7 @@ def rank_model(doc: Document, scorer: Callable[[Document], Sequence[float]]) -> 
         )
     if not all(np.isfinite(s) for s in scores):
         raise ScorerError("scorer returned a non-finite score")
-    order = sorted(range(doc.n_sentences), key=lambda i: (-scores[i], i))
-    return Ranking(order, [float(scores[i]) for i in order])
+    return Ranking(sorted(range(doc.n_sentences), key=lambda i: (-scores[i], i)))
 
 
 def _admit(doc: Document, candidates: Iterable[int], used: int,
@@ -137,10 +127,10 @@ def truncate_and_sort(doc: Document, ranking: Ranking, budget: int) -> Selection
     admitted, used = _admit(doc, ranking.indices, 0, budget)
     if not admitted and ranking.indices:
         first = ranking.indices[0]
-        return Selection([first], budget, budget, first_sentence_cut=budget)
+        return Selection([first], budget, first_sentence_cut=budget)
     if not admitted:
         log.warning("selection for %s is empty (empty ranking)", doc.id)
-    return Selection(sorted(admitted), budget, used)
+    return Selection(sorted(admitted), used)
 
 
 def pad_selection(core: Selection, doc: Document, mode: str, budget: int,
@@ -156,7 +146,7 @@ def pad_selection(core: Selection, doc: Document, mode: str, budget: int,
     if core.words_used > budget:
         raise DomainError("core selection already exceeds the budget")
     if core.first_sentence_cut is not None:
-        return Selection(list(core.indices), budget, core.words_used,
+        return Selection(list(core.indices), core.words_used,
                          first_sentence_cut=core.first_sentence_cut)
     selected = set(core.indices)
     pool = [i for i in range(doc.n_sentences) if i not in selected]
@@ -164,7 +154,7 @@ def pad_selection(core: Selection, doc: Document, mode: str, budget: int,
         rng = np.random.default_rng(seed)
         pool = [pool[j] for j in rng.permutation(len(pool))]
     extra, used = _admit(doc, pool, core.words_used, budget)
-    return Selection(sorted(core.indices + extra), budget, used)
+    return Selection(sorted(core.indices + extra), used)
 
 
 def select(doc: Document, method: str, budget: int,

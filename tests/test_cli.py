@@ -226,7 +226,7 @@ def test_train_counts_below_one_are_usage_errors(capsys, corpus_path, tmp_path, 
         main(["train-mcs", "--input", str(corpus_path), "--output", str(tmp_path / "m.lsnt"),
               flag, "0"])
     assert exc.value.code == 2
-    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+    assert f"{flag[2:].replace('-', '_')} must be >= 1, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -238,7 +238,7 @@ def test_train_rates_out_of_range_are_usage_errors(capsys, corpus_path, tmp_path
         main(["train-mcs", "--input", str(corpus_path), "--output", str(tmp_path / "m.lsnt"),
               "--steps", "2", flag, value])
     assert exc.value.code == 2
-    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
     assert not (tmp_path / "m.lsnt").exists()
 
 

@@ -1,5 +1,6 @@
 """Hierarchical selector: encoding, losses, beam decode, fusion, training."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from longspan.metrics import ngram_recall
 from longspan import selection as sel
 
 from test_autodiff import check_grad_fd
+from test_recurrence import banned_next
 
 
 def tiny_vocab(extra=()):
@@ -312,11 +314,11 @@ class TestBeamSearch:
         assert beam.tokens == expected
 
     def test_no_repeat_ngram_banning(self):
-        banned = mcs.McsModel._banned_next([4, 5, 4], 2)
+        banned = banned_next([4, 5, 4], 2)
         assert banned == {5}  # (4, 5) exists, prefix is (4,)
-        assert mcs.McsModel._banned_next([4, 5, 4], 3) == set()
-        assert mcs.McsModel._banned_next([4, 5, 6, 4, 5], 3) == {6}
-        assert mcs.McsModel._banned_next([1, 2, 3], 1) == {1, 2, 3}
+        assert banned_next([4, 5, 4], 3) == set()
+        assert banned_next([4, 5, 6, 4, 5], 3) == {6}
+        assert banned_next([1, 2, 3], 1) == {1, 2, 3}
 
     def test_no_repeated_ngram_in_output(self):
         model = tiny_model(seed=12)
@@ -436,8 +438,7 @@ class TestRecallRate:
     def test_full_selection_is_total_recall(self):
         examples = make_synthetic_corpus(4, seed=20)
         selections = [
-            sel.Selection(list(range(ex.doc.n_sentences)), 10**6,
-                          ex.doc.total_words)
+            sel.Selection(list(range(ex.doc.n_sentences)), ex.doc.total_words)
             for ex in examples
         ]
         rate = mcs.recall_rate(selections,
@@ -448,14 +449,14 @@ class TestRecallRate:
     def test_disjoint_selection_is_zero(self):
         doc = doc_of("w1 w2", "w3 w4")
         ref = "w1 w2".split()
-        selections = [sel.Selection([1], 10, 2)]
+        selections = [sel.Selection([1], 2)]
         assert mcs.recall_rate(selections, [doc], [ref]) == 0.0
 
     def test_docs_without_positive_sentences_excluded(self):
         doc_pos = doc_of("w1 w2", "w3 w4")
         doc_neg = doc_of("w5 w6")
         ref = "w1 w2".split()
-        selections = [sel.Selection([0], 10, 2), sel.Selection([0], 10, 2)]
+        selections = [sel.Selection([0], 2), sel.Selection([0], 2)]
         rate = mcs.recall_rate(selections, [doc_pos, doc_neg], [ref, ref])
         assert rate == 100.0
 
@@ -587,6 +588,35 @@ class TestTraining:
         model = tiny_model()
         with pytest.raises(InputError):
             mcs.train(model, [Example(doc_of("w1 w2"), None)])
+
+
+COUNTS = ("steps", "batch_size", "warmup", "val_every", "patience")
+VALID_SETTINGS = {
+    **{name: st.integers(1, 10**6) for name in COUNTS},
+    "seed": st.integers(0, 2**63),
+    "lr_scale": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "val_fraction": st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+}
+INVALID_SETTINGS = {
+    **{name: st.integers(max_value=0) for name in COUNTS},
+    "seed": st.integers(max_value=-1),
+    "lr_scale": st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan])),
+    "val_fraction": st.one_of(st.floats(max_value=-1e-300), st.floats(min_value=1.0),
+                              st.just(math.nan)),
+}
+
+
+class TestTrainSettings:
+    @settings(max_examples=200, deadline=None)
+    @given(fields=st.fixed_dictionaries(VALID_SETTINGS),
+           broken=st.sampled_from([None, *INVALID_SETTINGS]), data=st.data())
+    def test_each_out_of_range_field_raises_domain_error(self, fields, broken, data):
+        if broken is None:
+            assert dataclasses.asdict(mcs.TrainSettings(**fields)) == fields
+            return
+        fields[broken] = data.draw(INVALID_SETTINGS[broken], label=broken)
+        with pytest.raises(DomainError, match=f"^{broken} must be"):
+            mcs.TrainSettings(**fields)
 
 
 class TestCheckpoint:

@@ -168,6 +168,20 @@ class TestEncodeTape:
 # ---------------------------------------------------------------------------
 
 
+def banned_next(tokens, n):
+    """Next tokens that would repeat an n-gram already in ``tokens``: the per-hypothesis
+    rescan that the beam's one sliding-window comparison replaced."""
+    if n < 1 or len(tokens) + 1 < n:
+        return set()
+    prefix = tuple(tokens[len(tokens) - (n - 1):]) if n > 1 else ()
+    banned = set()
+    for i in range(len(tokens) - n + 1):
+        gram = tuple(tokens[i : i + n])
+        if gram[:-1] == prefix:
+            banned.add(gram[-1])
+    return banned
+
+
 class Winner(NamedTuple):
     """An oracle beam's top hypothesis: its tokens (ending in the end token if produced),
     log-probability and sentence attention summed over its decoded steps."""
@@ -195,7 +209,7 @@ def reference_beam(model, enc, width, length_penalty, min_len, max_len, no_repea
             logp = logp - np.log(np.exp(logp).sum())
             if len(beam["tokens"]) + 1 < min_len:
                 logp[Vocab.EOS] = -np.inf
-            for banned in model._banned_next(beam["tokens"], no_repeat_ngram):
+            for banned in banned_next(beam["tokens"], no_repeat_ngram):
                 logp[banned] = -np.inf
             order = np.argsort(-logp, kind="stable")[: width + 1]
             for token in order:
@@ -333,7 +347,7 @@ def per_document_beam(model, enc, width=4, length_penalty=2.0, min_len=1, max_le
         if step + 1 < min_len:
             logp[:, Vocab.EOS] = -np.inf
         for row, hyp in enumerate(live):
-            logp[row, list(model._banned_next(hyp.tokens, no_repeat_ngram))] = -np.inf
+            logp[row, list(banned_next(hyp.tokens, no_repeat_ngram))] = -np.inf
         order = np.argsort(-logp, axis=1, kind="stable")[:, : width + 1]
         picked = np.take_along_axis(logp, order, axis=1)
         finite = np.isfinite(picked)
@@ -445,6 +459,24 @@ class TestGroupBeam:
             # each decoded step, the end step included, adds one attention row summing to 1
             assert abs(winner.mass.sum() - len(winner.tokens)) <= 1e-9
             assert (winner.mass[~real] == 0.0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=beam_groups())
+    def test_winners_are_short_end_last_and_repeat_no_ngram(self, problem):
+        model, docs, search = problem
+        with ad.no_grad():
+            try:
+                winners = model._beam_from_encoded(model.encode(*docs), **search)
+            except DomainError:
+                return
+        n = search["no_repeat_ngram"]
+        for winner in winners:
+            assert len(winner.tokens) <= search["max_len"]
+            assert Vocab.EOS not in winner.tokens[:-1]
+            if n >= 1:
+                grams = [tuple(winner.tokens[i : i + n])
+                         for i in range(len(winner.tokens) - n + 1)]
+                assert len(grams) == len(set(grams))
 
     @settings(max_examples=40, deadline=None)
     @given(problem=beam_groups())

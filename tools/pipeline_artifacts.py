@@ -1,0 +1,58 @@
+"""Fixed-seed artifacts of the make-corpus -> train-mcs -> score -> select pipeline.
+
+Usage: ``python tools/pipeline_artifacts.py OUTDIR`` with the package installed or
+``src`` on ``PYTHONPATH``.  Every command runs inside OUTDIR on relative paths and
+writes its stdout report there, so two runs (two processes, two hash seeds or two
+checkouts) compare with ``diff -r``.  BLAS runs on one thread unless the environment
+sets otherwise.
+
+One corpus (``make-corpus --docs 40 --seed 7 --max-sentences 14``) is trained on,
+scored and selected from (``--method mcs --budget 14``) at each (gamma, layers) pair
+of ``SETTINGS``; each output is named after its pair, e.g. ``g0.2-l1.lsnt``.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")   # read once, when numpy loads
+
+import contextlib
+import sys
+from pathlib import Path
+
+from longspan.cli import main
+
+SETTINGS = [(0.2, 1), (0.2, 2), (0, 1), (1, 1)]
+TRAIN = ["--steps", "60", "--warmup", "100", "--seed", "3", "--embed-dim", "16",
+         "--hidden-dim", "16", "--max-sentences", "8", "--max-words", "6", "--max-target", "12"]
+
+
+def run(report: str, *argv: str) -> None:
+    """One CLI command with its JSON report written to ``report``; exits unless it succeeds."""
+    with open(report, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+        code = main([*argv, "--report", "json"])
+    if code != 0:
+        sys.exit(f"{argv[0]} exited with {code}")
+
+
+def write_artifacts(outdir: str) -> None:
+    Path(outdir).mkdir(parents=True, exist_ok=True)
+    os.chdir(outdir)
+    run("corpus.report.json", "make-corpus", "--output", "corpus.jsonl", "--docs", "40",
+        "--seed", "7", "--max-sentences", "14")
+    for gamma, layers in SETTINGS:
+        stem = f"g{gamma}-l{layers}"
+        run(f"{stem}.train.json", "train-mcs", "--input", "corpus.jsonl",
+            "--output", f"{stem}.lsnt", "--gamma", str(gamma), "--word-layers", str(layers),
+            "--sent-layers", str(layers), *TRAIN)
+        run(f"{stem}.score.json", "score", "--input", "corpus.jsonl",
+            "--checkpoint", f"{stem}.lsnt", "--output", f"{stem}.scores.jsonl")
+        run(f"{stem}.select.json", "select", "--input", "corpus.jsonl",
+            "--checkpoint", f"{stem}.lsnt", "--output", f"{stem}.picked.jsonl",
+            "--method", "mcs", "--budget", "14")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUTDIR")
+    write_artifacts(sys.argv[1])
