@@ -13,7 +13,6 @@ and the batch CLI (:mod:`longspan.cli`).
 from . import errors
 from .attention import (
     FULL,
-    AttentionMap,
     ToyModelConfig,
     ToySeq2Seq,
     build_local_mask,
@@ -55,7 +54,7 @@ __all__ = [
     # tensors
     "Tensor", "Tape", "GruParams", "gru_cell", "masked_softmax", "matmul",
     # attention
-    "FULL", "AttentionMap", "ToyModelConfig", "ToySeq2Seq",
+    "FULL", "ToyModelConfig", "ToySeq2Seq",
     "build_local_mask", "extend_positional_embedding", "mean_attention_distance",
     "multi_head_attention", "uniform_attention_distance",
     # cost model

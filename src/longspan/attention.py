@@ -8,13 +8,15 @@ which holds scores as an [H x N x 2h+1] band (h = W // 2), so training time
 and memory grow with N * W rather than N^2.  A ``"full"`` window and
 cross-attention use the dense product (:func:`multi_head_attention`) with
 no mask; only decoder self-attention passes one (:func:`causal_mask`).
-The dense product under :func:`build_local_mask` is the reference the band
-is tested against.  Only the diagnostic :meth:`ToySeq2Seq.encoder_forward`
-expands the band into [H x N x N] maps.
+The dense product under :func:`build_local_mask` is the test oracle the
+band is checked against; no production path builds that mask.  Only the
+diagnostic :meth:`ToySeq2Seq.encoder_forward` expands the band into
+[H x N x N] maps, and :func:`mean_attention_distance` reads each head of
+them directly.
 
-Positional rows beyond the base table are produced by palindromic tiling
-(copy, then flipped copy, alternating), so adjacent blocks meet at equal
-rows and the transition is smooth.
+Encoder positions are a gather from the stored base table, tiled
+palindromically (copy, then flipped copy, alternating) to the input's
+length, so adjacent blocks meet at equal rows and any source length works.
 """
 
 from __future__ import annotations
@@ -39,45 +41,14 @@ def _is_full(window) -> bool:
     return isinstance(window, str) and window.lower() == FULL
 
 
-@dataclass(frozen=True)
-class AttentionMap:
-    """Row-stochastic attention weights [heads x N x N] for diagnostics.
-
-    Construction validates that every row sums to 1 and, when a window is
-    given, that entries outside the band are exactly zero.
-    """
-
-    weights: np.ndarray
-    window: int | str | None = None
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim == 2:
-            w = w[None, :, :]
-        if w.ndim != 3 or w.shape[-1] != w.shape[-2]:
-            raise DimensionError(f"attention map must be [heads x N x N], got {w.shape}")
-        if np.abs(w.sum(axis=-1) - 1.0).max() > ROW_SUM_TOL:
-            raise ContractError(f"attention rows must sum to 1 within {ROW_SUM_TOL:g}")
-        if self.window is not None:
-            permitted = build_local_mask(w.shape[-1], self.window)
-            if (w[:, ~permitted] != 0.0).any():
-                raise ContractError("nonzero attention outside the local window")
-        object.__setattr__(self, "weights", w)
-
-    def mean_distances(self) -> list[float]:
-        return [mean_attention_distance(head) for head in self.weights]
-
-
-def build_local_mask(n: int, window: int | str) -> np.ndarray:
+def build_local_mask(n: int, window: int) -> np.ndarray:
     """Boolean [n x n] mask permitting |i - j| <= floor(window / 2).
 
-    A window of at least 2n - 1 permits everything; ``FULL`` is accepted
-    as an explicit everything-permitted sentinel.
+    The dense reference the band kernel is tested against; a window of at
+    least 2n - 1 permits everything.
     """
     if n < 1:
         raise DomainError(f"mask size must be >= 1, got {n}")
-    if _is_full(window):
-        return np.ones((n, n), dtype=bool)
     window = int(window)
     if window < 1:
         raise DomainError(f"window must be >= 1, got {window}")
@@ -94,6 +65,8 @@ def causal_mask(n: int) -> np.ndarray:
 @dataclass
 class AttentionParams:
     """Projection weights of one multi-head attention block."""
+
+    FIELDS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
     wq: Tensor
     bq: Tensor
@@ -116,10 +89,7 @@ class AttentionParams:
         return cls(w(), b(), w(), b(), w(), b(), w(), b())
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.{name}": getattr(self, name)
-            for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-        }
+        return {f"{prefix}.{name}": getattr(self, name) for name in self.FIELDS}
 
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -192,13 +162,12 @@ def extend_positional_embedding(base: Tensor, target_len: int) -> Tensor:
 
     Position p in block b = p // L at offset r = p % L maps to base row r
     for even b and row L-1-r for odd b, so every block boundary repeats a
-    row and the table has period 2L.
+    row and the table has period 2L.  Any ``target_len`` >= 1 is allowed;
+    the last block may be partial.
     """
+    if target_len < 1:
+        raise DomainError(f"target length must be >= 1, got {target_len}")
     length = base.shape[0]
-    if target_len < 1 or target_len % length != 0:
-        raise DomainError(
-            f"target length {target_len} is not a positive multiple of the base length {length}"
-        )
     p = np.arange(target_len)
     block, offset = p // length, p % length
     rows = np.where(block % 2 == 0, offset, length - 1 - offset)
@@ -230,8 +199,8 @@ class ToyModelConfig:
     """Dimensions of the desk-scale encoder-decoder.
 
     Defaults are artifact-sized so every invariant checks in milliseconds.
-    ``max_src`` must be a multiple of ``pos_base_len`` (the stored encoder
-    positional table is tiled up to it).
+    ``max_src`` may be any length >= 1: the stored ``pos_base_len``-row
+    encoder positional table is tiled to each input's length.
     """
 
     vocab: int = 101
@@ -251,10 +220,6 @@ class ToyModelConfig:
                      "ffn_dim", "pos_base_len", "max_src", "max_tgt"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be positive")
-        if self.max_src % self.pos_base_len != 0:
-            raise DomainError(
-                f"max_src {self.max_src} must be a multiple of pos_base_len {self.pos_base_len}"
-            )
         if self.d_model % self.n_heads != 0:
             raise DomainError("d_model must be divisible by n_heads")
         if not _is_full(self.window) and int(self.window) < 1:
@@ -324,9 +289,7 @@ class ToySeq2Seq:
         return self.params
 
     def _attn_params(self, prefix: str) -> AttentionParams:
-        p = self.params
-        return AttentionParams(*(p[f"{prefix}.{n}"] for n in
-                                 ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")))
+        return AttentionParams(*(self.params[f"{prefix}.{n}"] for n in AttentionParams.FIELDS))
 
     # -- forward ----------------------------------------------------------
 
@@ -341,11 +304,7 @@ class ToySeq2Seq:
         return ids
 
     def _encoder_positions(self, n: int) -> Tensor:
-        cfg = self.config
-        table = self.params["pos_enc"]
-        if cfg.max_src > cfg.pos_base_len:
-            table = extend_positional_embedding(table, cfg.max_src)
-        return ad.getitem(table, np.arange(n))
+        return extend_positional_embedding(self.params["pos_enc"], n)
 
     def _block_forward(self, prefix: str, x: Tensor, attn_out: Tensor,
                        cross_states: Tensor | None = None) -> Tensor:

@@ -11,8 +11,9 @@ Binary layout (all integers little-endian):
             float64 values, row-major, little-endian
 
 The format is self-describing enough for cross-checking shapes on load;
-any malformed container, and any metadata or tensor set that does not
-describe a model, raises :class:`~longspan.errors.FormatError`.
+any malformed container, any metadata or tensor set that does not
+describe a model, and any NaN or infinite value in a restored model
+raise :class:`~longspan.errors.FormatError`.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def restore(loaded: tuple[dict[str, np.ndarray], dict], kind: str,
     ``build(meta)`` returns a freshly initialised model of the stored
     configuration; its ``params`` fix the expected tensor names and shapes
     and are replaced by the stored values.  Metadata that ``build`` cannot
-    turn into a model raises :class:`FormatError`, as does any other kind
-    or tensor layout.
+    turn into a model raises :class:`FormatError`, as does any other kind,
+    any other tensor layout, and any NaN or infinite value.
     """
     tensors, meta = loaded
     if meta.get("kind") != kind:
@@ -132,5 +133,7 @@ def restore(loaded: tuple[dict[str, np.ndarray], dict], kind: str,
                 f"checkpoint tensor {name} has shape {arr.shape}, "
                 f"expected {model.params[name].shape}"
             )
+        if not np.isfinite(arr).all():
+            raise FormatError(f"checkpoint tensor {name} holds a non-finite value")
     model.params = {name: parameter(arr) for name, arr in tensors.items()}
     return model

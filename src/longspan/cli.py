@@ -309,23 +309,18 @@ def cmd_analyze_attention(args) -> int:
         if window != config.window:
             config = dataclasses.replace(config, window=window)
             model = attention.ToySeq2Seq(config, model.params)
+        if args.N > config.max_src:
+            raise UsageError(f"-N {args.N} exceeds the model's max source {config.max_src}")
     else:
-        pos_base = attention.ToyModelConfig.pos_base_len
-        max_src = max(args.N, pos_base)
-        if max_src % pos_base:
-            max_src += pos_base - (max_src % pos_base)
-        config = attention.ToyModelConfig(window=window, max_src=max_src)
+        config = attention.ToyModelConfig(window=window, max_src=args.N)
         model = attention.ToySeq2Seq.init(config, seed=args.seed)
-    if args.N > config.max_src:
-        raise UsageError(f"-N {args.N} exceeds the model's max source {config.max_src}")
 
     rng = np.random.default_rng(args.seed)
     tokens = rng.integers(0, config.vocab, size=args.N)
     _, attns = model.encoder_forward(tokens)
     layers = []
-    for layer_idx, attn_tensor in enumerate(attns):
-        attn_map = attention.AttentionMap(attn_tensor.data, window=window)
-        heads = attn_map.mean_distances()
+    for layer_idx, attn in enumerate(attns):
+        heads = [attention.mean_attention_distance(head) for head in attn.data]
         layers.append({
             "layer": layer_idx,
             "per_head": heads,

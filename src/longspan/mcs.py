@@ -39,7 +39,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .metrics import ngram_recall
-from .selection import select
+from .selection import descending_order, select
 
 log = logging.getLogger(__name__)
 
@@ -137,9 +137,8 @@ def rank_normalize(scores: np.ndarray) -> np.ndarray:
     r = len(scores)
     if r == 1:
         return np.ones(1)
-    order = sorted(range(r), key=lambda i: (-scores[i], i))
     nscore = np.empty(r)
-    for position, idx in enumerate(order):
+    for position, idx in enumerate(descending_order(scores)):
         nscore[idx] = (r - (position + 1)) / (r - 1)
     return nscore
 

@@ -81,6 +81,11 @@ def rank_trc(doc: Document) -> Ranking:
     return Ranking(list(range(doc.n_sentences)))
 
 
+def descending_order(scores: Sequence[float]) -> list[int]:
+    """Indices by descending score; ties favor the smaller index."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
 def oracle_similarities(doc: Document, reference: Sequence[str]) -> list[float]:
     """Bigram recall of each sentence against the reference summary."""
     if not reference:
@@ -91,8 +96,7 @@ def oracle_similarities(doc: Document, reference: Sequence[str]) -> list[float]:
 def rank_oracle(doc: Document, reference: Sequence[str]) -> Ranking:
     """Descending similarity to the reference over the sentences that overlap it."""
     sims = oracle_similarities(doc, reference)
-    order = sorted(range(doc.n_sentences), key=lambda i: (-sims[i], i))
-    return Ranking([i for i in order if sims[i] > 0.0])
+    return Ranking([i for i in descending_order(sims) if sims[i] > 0.0])
 
 
 def rank_model(doc: Document, scorer: Callable[[Document], Sequence[float]]) -> Ranking:
@@ -104,7 +108,7 @@ def rank_model(doc: Document, scorer: Callable[[Document], Sequence[float]]) -> 
         )
     if not all(np.isfinite(s) for s in scores):
         raise ScorerError("scorer returned a non-finite score")
-    return Ranking(sorted(range(doc.n_sentences), key=lambda i: (-scores[i], i)))
+    return Ranking(descending_order(scores))
 
 
 def _admit(doc: Document, candidates: Iterable[int], used: int,

@@ -1,5 +1,6 @@
 """Named-tensor container round-trips and corruption handling."""
 
+import re
 import struct
 from dataclasses import asdict
 
@@ -228,9 +229,24 @@ class TestModelRestore:
         blob[bit // 8] ^= 1 << (bit % 8)
         path.write_bytes(bytes(blob))
         try:
-            load(path)
+            loaded = load(path)
         except FormatError:
-            pass
+            return
+        assert all(np.isfinite(t.data).all() for t in loaded.params.values())
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), value=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_value_raises_format_error(self, tmp_path, make, data, value):
+        model, load = make()
+        path = tmp_path / "m.lsnt"
+        model.save(path)
+        tensors, meta = ckpt.load_tensors(path)
+        name = data.draw(st.sampled_from(sorted(tensors)))
+        tensors[name].flat[data.draw(st.integers(0, tensors[name].size - 1))] = value
+        ckpt.save_tensors(path, tensors, meta)
+        with pytest.raises(FormatError, match=f"tensor {re.escape(name)} holds a non-finite"):
+            load(path)
 
 
 def test_nine_tensor_gru_layout_is_refused(tmp_path, capsys):

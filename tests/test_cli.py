@@ -10,11 +10,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from longspan import costmodel, mcs
+from longspan import attention, costmodel, mcs
 from longspan.checkpoint import load_tensors, save_tensors
 from longspan.cli import INFERENCE_GROUP, build_parser, main
 from longspan.corpus import Document, Example, load_corpus, make_synthetic_corpus, write_corpus
 from longspan.selection import select
+
+from test_attention import brute_force_mean_distance
 
 
 def run(capsys, *argv):
@@ -360,8 +362,6 @@ class TestAnalyzeAttention:
                 assert 0.0 <= d <= n - 1
 
     def test_checkpoint_round_trip(self, capsys, tmp_path):
-        from longspan import attention
-
         model = attention.ToySeq2Seq.init(seed=5)
         ckpt = tmp_path / "toy.lsnt"
         model.save(ckpt)
@@ -369,6 +369,35 @@ class TestAnalyzeAttention:
                                 str(ckpt), "-N", "32", "--window", "full")
         assert code == 0
         assert len(report["layers"]) == model.config.enc_layers
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 24), window=st.just(attention.FULL) | st.integers(1, 50),
+           layers=st.sampled_from([None, 1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_per_head_is_the_brute_force_distance_of_each_map(self, capsys, tmp_path, n,
+                                                              window, layers, seed):
+        """Without --checkpoint the probe model is a seeded init with max_src = N."""
+        argv = ["analyze-attention", "-N", str(n), "--window", str(window), "--seed", str(seed)]
+        if layers is None:
+            config = attention.ToyModelConfig(window=window, max_src=n)
+            model = attention.ToySeq2Seq.init(config, seed=seed)
+        else:
+            stored = attention.ToySeq2Seq.init(
+                attention.ToyModelConfig(enc_layers=layers, max_src=24), seed=seed)
+            stored.save(tmp_path / "toy.lsnt")
+            argv += ["--checkpoint", str(tmp_path / "toy.lsnt")]
+            model = attention.ToySeq2Seq(dataclasses.replace(stored.config, window=window),
+                                         stored.params)
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        tokens = np.random.default_rng(seed).integers(0, model.config.vocab, size=n)
+        _, maps = model.encoder_forward(tokens)
+        assert len(report["layers"]) == len(maps)
+        for layer, attn_map in zip(report["layers"], maps):
+            want = [brute_force_mean_distance(head) for head in attn_map.data]
+            assert layer["per_head"] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            if window != attention.FULL:
+                assert max(layer["per_head"]) <= window // 2 + 1e-12
 
 
 class TestTrainScoreEvaluate:
@@ -583,6 +612,30 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_finite_tensor_fails_every_reader(self, capsys, tmp_path, corpus_path):
+        toy = tmp_path / "toy.lsnt"
+        attention.ToySeq2Seq.init(seed=5).save(toy)
+        selector = train_tiny(capsys, corpus_path, tmp_path, steps="2")
+        for path, name in ((toy, "enc.0.attn.wq"), (selector, "cls.w")):
+            tensors, meta = load_tensors(path)
+            tensors[name].flat[0] = np.nan
+            save_tensors(path, tensors, meta)
+        output = tmp_path / "out.jsonl"
+        readers = [
+            ("enc.0.attn.wq", ["analyze-attention", "--checkpoint", str(toy), "-N", "8"]),
+            ("cls.w", ["score", "--input", str(corpus_path), "--checkpoint", str(selector),
+                       "--output", str(output)]),
+            ("cls.w", ["select", "--input", str(corpus_path), "--checkpoint", str(selector),
+                       "--output", str(output), "--method", "mcs", "--budget", "6"]),
+        ]
+        for name, argv in readers:
+            code = main(argv + ["--report", "json"])
+            out, err = capsys.readouterr()
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+            assert f"tensor {name} holds a non-finite value" in err
+            assert not list(tmp_path.glob("out.jsonl*"))
 
 
 FUZZ_WORDS = ["alpha", "beta", "gamma", "delta"]

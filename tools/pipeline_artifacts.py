@@ -8,7 +8,9 @@ sets otherwise.
 
 One corpus (``make-corpus --docs 40 --seed 7 --max-sentences 14``) is trained on,
 scored and selected from (``--method mcs --budget 14``) at each (gamma, layers) pair
-of ``SETTINGS``; each output is named after its pair, e.g. ``g0.2-l1.lsnt``.
+of ``SETTINGS``; each output is named after its pair, e.g. ``g0.2-l1.lsnt``.  The
+diagnostics add one ``analyze-attention`` report per case of ``ATTENTION`` (the last
+on ``toy.lsnt``, a seeded toy model the script saves) and one ``cost-model`` report.
 """
 
 import os
@@ -20,11 +22,19 @@ import contextlib
 import sys
 from pathlib import Path
 
+from longspan.attention import ToyModelConfig, ToySeq2Seq
 from longspan.cli import main
 
 SETTINGS = [(0.2, 1), (0.2, 2), (0, 1), (1, 1)]
 TRAIN = ["--steps", "60", "--warmup", "100", "--seed", "3", "--embed-dim", "16",
          "--hidden-dim", "16", "--max-sentences", "8", "--max-words", "6", "--max-target", "12"]
+ATTENTION = [
+    ("n5-w3", "-N", "5", "--window", "3"),
+    ("n40-w7", "-N", "40", "--window", "7"),
+    ("n64-full", "-N", "64", "--window", "full"),
+    ("n300-w33", "-N", "300", "--window", "33", "--seed", "4"),
+    ("toy-n40-w9", "--checkpoint", "toy.lsnt", "-N", "40", "--window", "9"),
+]
 
 
 def run(report: str, *argv: str) -> None:
@@ -50,6 +60,11 @@ def write_artifacts(outdir: str) -> None:
         run(f"{stem}.select.json", "select", "--input", "corpus.jsonl",
             "--checkpoint", f"{stem}.lsnt", "--output", f"{stem}.picked.jsonl",
             "--method", "mcs", "--budget", "14")
+    ToySeq2Seq.init(ToyModelConfig(max_src=48), seed=7).save("toy.lsnt")
+    for name, *argv in ATTENTION:
+        run(f"attention-{name}.json", "analyze-attention", *argv)
+    run("cost-model.json", "cost-model", "--kind", "lobart", "-N", "4096", "-M", "144",
+        "-W", "1024", "--budget", "32", "--grid", "1024:full,4096:1024")
 
 
 if __name__ == "__main__":
