@@ -217,11 +217,6 @@ def power(a: Tensor, p: float) -> Tensor:
     return _apply(out, (a,), lambda g: (g * p * ad ** (p - 1.0),))
 
 
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-    return _apply(np.log(ad), (a,), lambda g: (g / ad,))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return _apply(out, (a,), lambda g: (g * (1.0 - out * out),))
@@ -254,14 +249,6 @@ def gelu(a: Tensor) -> Tensor:
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
 
     return _apply(out, (a,), bwd)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient is zero outside the kept band."""
-    ad = a.data
-    out = np.clip(ad, lo, hi)
-    inside = (ad >= lo) & (ad <= hi)
-    return _apply(out, (a,), lambda g: (g * inside,))
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

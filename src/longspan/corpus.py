@@ -182,6 +182,7 @@ class Vocab:
 
 _FILLER = [f"filler{i:02d}" for i in range(30)]
 _TOPIC = [f"topic{i:02d}" for i in range(24)]
+_RELEVANT_PER_DOC = (2, 3)  # planted relevant sentences per document, min..max
 
 
 def make_synthetic_corpus(
@@ -189,7 +190,6 @@ def make_synthetic_corpus(
     seed: int,
     n_sentences: tuple[int, int] = (6, 10),
     words_per_sentence: tuple[int, int] = (4, 8),
-    relevant_per_doc: tuple[int, int] = (2, 3),
 ) -> list[Example]:
     """Seeded corpus with planted relevant sentences.
 
@@ -208,7 +208,7 @@ def make_synthetic_corpus(
     examples = []
     for d in range(n_docs):
         n_sent = int(rng.integers(n_sentences[0], n_sentences[1] + 1))
-        n_rel = min(int(rng.integers(relevant_per_doc[0], relevant_per_doc[1] + 1)), n_sent)
+        n_rel = min(int(rng.integers(_RELEVANT_PER_DOC[0], _RELEVANT_PER_DOC[1] + 1)), n_sent)
         relevant = sorted(rng.choice(n_sent, size=n_rel, replace=False).tolist())
         sentences: list[list[str]] = []
         reference: list[str] = []

@@ -311,10 +311,13 @@ class McsModel:
 
     # -- heads ---------------------------------------------------------------
 
+    def classifier_logits(self, sent_states: Tensor) -> Tensor:
+        """Per-sentence log-odds of carrying reference content."""
+        return ad.add(ad.matmul(sent_states, self.params["cls.w"]), self.params["cls.b"])
+
     def classifier_scores(self, sent_states: Tensor) -> Tensor:
         """Per-sentence probability of carrying reference content."""
-        raw = ad.add(ad.matmul(sent_states, self.params["cls.w"]), self.params["cls.b"])
-        return ad.sigmoid(raw)
+        return ad.sigmoid(self.classifier_logits(sent_states))
 
     def _decoder_start(self, enc: Encoded) -> tuple[Tensor, DecoderMemory]:
         """Initial states [D, h] and the projections every decode step of each document reads."""
@@ -393,32 +396,29 @@ class McsModel:
             raise InputError("target token id outside the vocabulary")
         return ids
 
-    def _seq2seq_loss_from(self, enc: Encoded, targets: Sequence[list[int]]) -> Tensor:
-        return ad.cross_entropy_logits(self._teacher_forced(enc, targets),
-                                       np.concatenate(targets))
-
     def _label_loss_from(self, enc: Encoded, labels: Sequence[np.ndarray]) -> Tensor:
-        labels = [np.asarray(doc_labels, dtype=np.float64) for doc_labels in labels]
+        """Binary cross-entropy of every sentence label, as the cross-entropy of the
+        two-class rows [0 | logit]: softmax([0, x]) = [1 - sigmoid(x), sigmoid(x)]."""
         for doc_labels, count in zip(labels, enc.sent_mask.sum(axis=1)):
+            doc_labels = np.asarray(doc_labels)
             if doc_labels.shape != (count,):
                 raise InputError(
                     f"labels shape {doc_labels.shape} does not match {count} sentences"
                 )
-        labels = np.concatenate(labels)
-        z_hat = self.classifier_scores(enc.sent_states)
-        if ((z_hat.data <= 0.0) | (z_hat.data >= 1.0)).any():
-            log.warning("classifier output saturated; clamping inside the loss")
-        z = ad.clip(z_hat, 1e-12, 1.0 - 1e-12)
-        pos = ad.mul(Tensor(labels), ad.log(z))
-        negated = ad.mul(Tensor(1.0 - labels), ad.log(ad.sub(Tensor(np.ones_like(labels)), z)))
-        return ad.neg(ad.tsum(ad.add(pos, negated)))
+            # a cast would turn 0.5 into 0 and NaN into some integer
+            if not np.isin(doc_labels, (0, 1)).all():
+                raise InputError("labels must each be 0 or 1")
+        logit = self.classifier_logits(enc.sent_states)
+        rows = ad.concat([Tensor(np.zeros((logit.shape[0], 1))),
+                          ad.reshape(logit, (-1, 1))], axis=1)
+        return ad.cross_entropy_logits(rows, np.concatenate(labels).astype(np.intp))
 
     def batch_loss(self, batch: Sequence[tuple[Document, Sequence, np.ndarray]],
                    gamma: float | None = None, training: bool = False, rng=None) -> Tensor:
         """Summed :meth:`mcs_loss` of (document, target, labels) triples, as one graph.
 
         One encoding packs every document; one cross-entropy covers every
-        target token and one binary cross-entropy every sentence label.
+        target token and one every sentence label.
         """
         gamma = self.config.gamma if gamma is None else float(gamma)
         if not 0.0 <= gamma <= 1.0:
@@ -427,7 +427,8 @@ class McsModel:
         enc = self.encode(*docs, training=training, rng=rng)
         if gamma == 1.0:
             return self._label_loss_from(enc, labels)
-        l_seq = self._seq2seq_loss_from(enc, [self._target_ids(target) for target in targets])
+        targets = [self._target_ids(target) for target in targets]
+        l_seq = ad.cross_entropy_logits(self._teacher_forced(enc, targets), np.concatenate(targets))
         if gamma == 0.0:
             return l_seq
         return ad.add(ad.mul(Tensor(np.float64(gamma)), self._label_loss_from(enc, labels)),
@@ -437,9 +438,9 @@ class McsModel:
                  gamma: float | None = None, training: bool = False, rng=None) -> Tensor:
         """Convex mix: gamma * labelling + (1 - gamma) * generation.
 
-        Labelling is the classifier's binary cross-entropy over sentences;
-        generation is the summed teacher-forced NLL of the target.  This
-        is :meth:`batch_loss` of a batch of one.
+        Labelling is the classifier's binary cross-entropy over sentence
+        labels of 0 or 1; generation is the summed teacher-forced NLL of the
+        target.  This is :meth:`batch_loss` of a batch of one.
         """
         return self.batch_loss([(doc, target, labels)], gamma, training, rng)
 

@@ -380,7 +380,6 @@ class TestPerOpGradients:
         "sub": lambda a, b: ad.tsum(ad.mul(ad.sub(a, b), ad.sub(a, b))),
         "mul": lambda a, b: ad.tsum(ad.mul(a, b)),
         "matmul": lambda a, b: ad.tsum(ad.matmul(a, ad.transpose(b))),
-        "log": lambda a, b: ad.tsum(ad.log(ad.add(ad.mul(a, a), ad.Tensor(np.ones(a.shape))))),
         "tanh": lambda a, b: ad.tsum(ad.tanh(a)),
         "sigmoid": lambda a, b: ad.tsum(ad.sigmoid(a)),
         "gelu": lambda a, b: ad.tsum(ad.gelu(a)),
@@ -392,7 +391,6 @@ class TestPerOpGradients:
         "transpose": lambda a, b: ad.tsum(ad.mul(ad.transpose(a), ad.transpose(b))),
         "getitem": lambda a, b: ad.tsum(ad.getitem(a, (slice(1, 3), slice(0, 2)))),
         "concat": lambda a, b: ad.tsum(ad.mul(ad.concat([a, b], axis=0), ad.concat([b, a], axis=0))),
-        "clip": lambda a, b: ad.tsum(ad.clip(a, -0.5, 0.5)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

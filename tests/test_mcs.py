@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longspan import autodiff as ad
@@ -230,6 +230,44 @@ class TestLabelLoss:
         model = tiny_model()
         with pytest.raises(InputError):
             label_loss(model, doc_of("w1 w2"), np.array([1.0, 0.0, 1.0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(-60.0, 60.0),
+           labels=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+           dtype=st.sampled_from([bool, int, float]))
+    @example(x=28.0, labels=[0, 0], dtype=float)
+    @example(x=-60.0, labels=[1], dtype=bool)
+    def test_matches_high_precision_oracle_at_any_logit(self, x, labels, dtype):
+        """With every logit x, the loss is sum log(1 + e^(+-x)) and d loss / d b is
+        sum sigmoid(x) - y.  A confident, correct row's loss log(1 + e^-|x|) is
+        resolved to half an ulp of 1, as in every log-softmax row."""
+        import mpmath
+
+        mpmath.mp.dps = 50
+        model = tiny_model()
+        model.params["cls.w"].data[:] = 0.0
+        model.params["cls.b"].data[()] = x
+        with ad.Tape() as tape:
+            loss = label_loss(model, doc_of(*["w1 w2"] * len(labels)),
+                              np.array(labels, dtype=dtype))
+            tape.backward(loss)
+        exact = sum(mpmath.log1p(mpmath.exp(-x if y else x)) for y in labels)
+        grad = sum(1 / (1 + mpmath.exp(-x)) - y for y in labels)
+        assert abs(loss.item() - exact) <= 1e-12 * exact + len(labels) * 2.0**-52
+        assert abs(model.params["cls.b"].grad - grad) <= 1e-9
+        tape.zero_grads()
+
+    @settings(max_examples=60, deadline=None)
+    @given(labels=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+           data=st.data(),
+           gamma=st.sampled_from([0.37, 1.0]))
+    def test_non_binary_label_raises(self, labels, data, gamma):
+        bad = data.draw(st.floats(allow_nan=True).filter(lambda v: v not in (0.0, 1.0)))
+        labels = np.array(labels, dtype=float)
+        labels[data.draw(st.integers(0, len(labels) - 1))] = bad
+        doc = doc_of(*["w1 w2"] * len(labels))
+        with pytest.raises(InputError, match="0 or 1"):
+            tiny_model().mcs_loss(doc, ["w1"], labels, gamma=gamma)
 
 
 class TestMixedLoss:
