@@ -4,8 +4,8 @@ The encoder restricts self-attention to a symmetric band of total width W
 around each query position (boundary rows simply see fewer neighbors);
 decoder self-attention stays causal and cross-attention stays full.  An
 integer window runs the encoder through :func:`autodiff.banded_attention`,
-which holds scores as an [H x N x 2h+1] band (h = W // 2), so training time
-and memory grow with N * W rather than N^2.  A ``"full"`` window and
+which computes its [H x N x 2h+1] band (h = W // 2) in blocks of queries,
+so time and memory grow with N * W rather than N^2.  A ``"full"`` window and
 cross-attention use the dense product (:func:`multi_head_attention`) with
 no mask; only decoder self-attention passes one (:func:`causal_mask`).
 The dense product under :func:`build_local_mask` is the test oracle the

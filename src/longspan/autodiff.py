@@ -18,6 +18,7 @@ import threading
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DegenerateRowError, DimensionError, DomainError
 
@@ -267,37 +268,22 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _sum_grad(g: Array, axis, keepdims: bool, shape: tuple[int, ...]) -> Array:
+    """``g`` of a sum over ``axis`` broadcast back to the summed ``shape`` (a read-only view)."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis=axis)
+    return np.broadcast_to(g, shape)
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    ash = a.shape
-
-    def bwd(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis=axis)
-        return (np.broadcast_to(gg, ash).copy(),)
-
-    return _apply(np.asarray(out), (a,), bwd)
+    out = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
+    return _apply(out, (a,), lambda g: (_sum_grad(g, axis, keepdims, a.shape).copy(),))
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    ash = a.shape
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= ash[ax]
-
-    def bwd(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis=axis)
-        return (np.broadcast_to(gg, ash) / count,)
-
-    return _apply(np.asarray(out), (a,), bwd)
+    out = np.asarray(a.data.mean(axis=axis, keepdims=keepdims))
+    count = a.data.size // max(out.size, 1)
+    return _apply(out, (a,), lambda g: (_sum_grad(g, axis, keepdims, a.shape) / count,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -419,75 +405,89 @@ def masked_softmax(logits: Tensor, mask: Array | None) -> Tensor:
     return _apply(out, (logits,), bwd)
 
 
-def _band_diagonals(n: int, half: int):
-    """(slot, offset, lo, hi): band slot ``slot`` of rows lo..hi-1 holds key row + offset."""
-    for slot in range(2 * half + 1):
-        offset = slot - half
-        yield slot, offset, max(0, -offset), min(n, n - offset)
-
-
 def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor, Array]:
     """Scaled dot-product self-attention over keys with |i - j| <= ``half``.
 
-    ``q``, ``k`` and ``v`` are per-head [H x N x d_head].  Scores and
-    probabilities are held as an [H x N x 2h+1] band, h = min(half, N - 1),
-    whose slot s of row i is key i + s - h.  Slots past either end of the
-    sequence are -inf before the row max, so their probability is exactly
-    0.  No N x N array is formed: time and memory grow with N * h.
+    ``q``, ``k`` and ``v`` are per-head [H x N x d_head]; h = min(half, N - 1).
+    Queries run in blocks of b rows (4 sqrt(h) rounded down to a power of
+    two, at most h).  Block i attends to the L = b + 2h keys from i*b - h
+    on, a strided window of zero-padded K and V, so scores and context are
+    one batched matmul each.  The scores go with a row stride of L into an
+    [H x N' x L+1] buffer (N' = N rounded up to whole blocks) whose row i
+    then holds query i's band, key i + s - h in slot s <= 2h, and after it
+    off-band slots only, so the softmax runs in place on its rows.  Off-band
+    and past-the-end slots are -inf before the row max, so their probability
+    is exactly 0.  No N x N array is formed; the buffer is ~(2h+b+1)/(2h+1) of the band.
 
     Records one op; returns the context [H x N x d_head] and the band
-    probabilities (see :func:`band_to_dense`).
+    probabilities [H x N x 2h+1], a view of the buffer (see :func:`band_to_dense`).
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(f"banded_attention expects equal [H x N x d] q/k/v, got "
                              f"{q.shape}, {k.shape}, {v.shape}")
     if half < 0:
         raise DomainError(f"band half-width must be >= 0, got {half}")
-    # per-diagonal slices of head-split views are strided; contiguous copies run faster
-    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, k, v))
-    n_heads, n, d_head = qd.shape
+    n_heads, n, d_head = q.shape
     h = min(int(half), n - 1)
-    scale = 1.0 / math.sqrt(d_head)
-    diagonals = list(_band_diagonals(n, h))
+    b = max(1, min(h, 1 << (h.bit_length() + 3) // 2))  # b <= h + 1: padded rows see key N - 1
+    rows, width, scale = -(-n // b) * b, b + 2 * h, math.sqrt(d_head)  # rows = N'
 
-    scores = np.full((n_heads, n, 2 * h + 1), -np.inf)
-    for slot, off, lo, hi in diagonals:
-        scores[:, lo:hi, slot] = np.einsum(
-            "hnd,hnd->hn", qd[:, lo:hi], kd[:, lo + off:hi + off]) * scale
-    expd = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = expd / expd.sum(axis=-1, keepdims=True)
-    ctx = np.zeros_like(qd)
-    for slot, off, lo, hi in diagonals:
-        ctx[:, lo:hi] += probs[:, lo:hi, slot, None] * vd[:, lo + off:hi + off]
+    def blocks(x):  # [H x N x d] as [H x blocks x b x d], zero rows past N
+        x = x if rows == n else np.concatenate((x, np.zeros((n_heads, rows - n, d_head))), 1)
+        return x.reshape(n_heads, rows // b, b, d_head)
+
+    def block_view(buf):  # block i's row r, window slot c is buffer row i*b + r, slot c - r
+        (t0, t1, t2), shape = buf.strides, (n_heads, rows // b, b, width)
+        return as_strided(buf, shape, (t0, b * t1, t1 - t2, t2))
+
+    def padded(x):  # padded row p is key p - h
+        pad = np.zeros((n_heads, rows + 2 * h, d_head))
+        pad[:, h:h + n] = x
+        return pad
+
+    def window(pad):  # block i reads padded rows i*b .. i*b + L - 1
+        (s0, s1, s2), shape = pad.strides, (n_heads, rows // b, width, d_head)
+        return as_strided(pad, shape, (s0, b * s1, s1, s2))
+
+    def fold(window_grad):  # adjoint of window(padded(x)): add back b window slots at a time
+        pad = padded(0.0)
+        for j in range(0, width, b):
+            window(pad)[:, :, j:j + b] += window_grad[:, :, j:j + b]
+        return pad[:, h:h + n]
+
+    buf = np.empty((n_heads, rows, width + 1))
+    probs = block_view(buf)
+    np.matmul(blocks(q.data), window(padded(k.data / scale)).swapaxes(-1, -2), out=probs)
+    i, s = np.arange(rows)[:, None], np.arange(width + 1)
+    np.copyto(buf, -np.inf, where=(s > 2 * h) | (s < h - i) | (s >= n + h - i))
+    buf -= buf.max(axis=-1, keepdims=True)
+    np.exp(buf, out=buf)
+    buf /= buf.sum(axis=-1, keepdims=True)
+    ctx = np.matmul(probs, window(padded(v.data))).reshape(n_heads, rows, d_head)[:, :n]
 
     def bwd(g):
-        g = np.ascontiguousarray(g)
-        dprobs = np.zeros_like(probs)
-        dv = np.zeros_like(vd)
-        for slot, off, lo, hi in diagonals:
-            dprobs[:, lo:hi, slot] = np.einsum("hnd,hnd->hn", g[:, lo:hi], vd[:, lo + off:hi + off])
-            dv[:, lo + off:hi + off] += probs[:, lo:hi, slot, None] * g[:, lo:hi]
-        inner = (probs * dprobs).sum(axis=-1, keepdims=True)
-        dscores = probs * (dprobs - inner) * scale
-        dq = np.zeros_like(qd)
-        dk = np.zeros_like(kd)
-        for slot, off, lo, hi in diagonals:
-            ds = dscores[:, lo:hi, slot, None]
-            dq[:, lo:hi] += ds * kd[:, lo + off:hi + off]
-            dk[:, lo + off:hi + off] += ds * qd[:, lo:hi]
-        return (dq, dk, dv)
+        gb, dbuf = blocks(g), np.zeros_like(buf)
+        dprobs = block_view(dbuf)
+        np.matmul(gb, window(padded(v.data)).swapaxes(-1, -2), out=dprobs)
+        dv = fold(np.matmul(probs.swapaxes(-1, -2), gb))
+        dbuf -= np.einsum("...l,...l->...", buf, dbuf)[..., None]
+        dbuf *= buf  # d(scores); 0 in every masked slot
+        dq = np.matmul(dprobs, window(padded(k.data / scale)))
+        dk = fold(np.matmul(dprobs.swapaxes(-1, -2), blocks(q.data))) / scale
+        return dq.reshape(n_heads, rows, d_head)[:, :n], dk, dv
 
-    return _apply(ctx, (q, k, v), bwd), probs
+    return _apply(ctx, (q, k, v), bwd), buf[:, :n, :2 * h + 1]
 
 
 def band_to_dense(band: Array) -> Tensor:
     """Scatter [H x N x 2h+1] band probabilities into an [H x N x N] map (zeros off-band)."""
     n_heads, n, width = band.shape
-    dense = np.zeros((n_heads, n, n))
-    for slot, off, lo, hi in _band_diagonals(n, (width - 1) // 2):
-        rows = np.arange(lo, hi)
-        dense[:, rows, rows + off] = band[:, lo:hi, slot]
-    return Tensor._wrap(dense)
+    flat = np.arange(0, n * n, n + 1)[:, None] + np.arange(width) - (width - 1) // 2
+    keys = flat - np.arange(0, n * n, n)[:, None]
+    flat[(keys < 0) | (keys >= n)] = n * n  # slots past either end land in a spare last entry
+    dense = np.zeros((n_heads, n * n + 1))
+    dense[:, flat] = band
+    return Tensor._wrap(dense[:, :-1].reshape(n_heads, n, n))
 
 
 def log_softmax(logits: Tensor) -> Tensor:

@@ -88,6 +88,63 @@ def test_op_gradient_matches_finite_differences(n, half, heads, seed):
         assert (np.abs(t.grad - fd) / np.maximum(np.abs(fd), scale)).max() < 1e-4
 
 
+def dense_band_oracle(q, k, v, g, half):
+    """Dense masked attention in plain NumPy: context, band, and dq, dk, dv for output grad g."""
+    n, d = q.shape[1], q.shape[2]
+    h = min(half, n - 1)
+    allowed = attn.build_local_mask(n, 2 * half + 1)
+    scores = np.where(allowed, q @ k.transpose(0, 2, 1) / np.sqrt(d), -np.inf)
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    dp = g @ v.transpose(0, 2, 1)
+    ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True)) / np.sqrt(d)
+    keys = np.arange(n)[:, None] + np.arange(2 * h + 1) - h
+    inside = (keys >= 0) & (keys < n)
+    band = np.where(inside, p[:, np.arange(n)[:, None], keys.clip(0, n - 1)], 0.0)
+    return p @ v, band, (ds @ k, ds.transpose(0, 2, 1) @ q, p.transpose(0, 2, 1) @ g), inside
+
+
+@st.composite
+def op_cases(draw):
+    """(H, N, d_head, half, seed): N = 1 and N off the block size; half 0, 1, >= N - 1 and
+    17..120, where the block is shorter than h and the fold's last step is mostly partial."""
+    n = draw(st.one_of(st.integers(1, 200), st.integers(150, 200)))
+    half = draw(st.one_of(st.integers(0, 1), st.integers(0, n), st.integers(17, 120),
+                          st.integers(max(0, n - 1), n + 8)))
+    return (draw(st.integers(1, 4)), n, draw(st.integers(1, 8)), half,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_cases())
+@example((1, 1, 1, 0, 0))
+@example((2, 1, 3, 5, 1))
+@example((3, 37, 4, 1, 2))
+@example((4, 197, 8, 20, 3))
+@example((2, 150, 3, 17, 7))
+@example((2, 199, 5, 70, 4))
+@example((1, 200, 2, 199, 5))
+@example((4, 193, 4, 0, 6))
+def test_op_matches_dense_numpy_oracle(case):
+    heads, n, d, half, seed = case
+    rng = np.random.default_rng(seed)
+    q, k, v, g = (rng.normal(size=(heads, n, d)) for _ in range(4))
+    ctx_o, band_o, grads_o, inside = dense_band_oracle(q, k, v, g, half)
+    qkv = [ad.parameter(x) for x in (q, k, v)]
+    with ad.Tape() as tape:
+        ctx, band = ad.banded_attention(*qkv, half)
+        tape.backward(ad.tsum(ad.mul(ctx, ad.Tensor(g))))
+    assert band.shape == band_o.shape
+    assert np.abs(ctx.data - ctx_o).max() <= 1e-12
+    assert np.abs(band - band_o).max() <= 1e-12
+    assert (band[:, ~inside] == 0.0).all()  # past either end: exactly 0
+    assert np.abs(band.sum(axis=-1) - 1.0).max() <= 1e-12
+    dense = ad.band_to_dense(band).data
+    assert (dense[:, ~attn.build_local_mask(n, 2 * half + 1)] == 0.0).all()  # off-band
+    for name, t, want in zip("qkv", qkv, grads_o):
+        assert np.abs(t.grad - want).max() <= 1e-10, name
+
+
 def test_band_slots_past_the_ends_are_exactly_zero():
     rng = np.random.default_rng(0)
     q, k, v = (ad.Tensor(rng.normal(size=(2, 5, 4))) for _ in range(3))
@@ -142,3 +199,8 @@ def test_training_memory_grows_linearly_in_n():
     """Doubling N at W=32 stays under 3x the peak; an N x N array would give ~4x."""
     ratio = peak_training_bytes(2048) / peak_training_bytes(1024)
     assert ratio <= 3.0, ratio
+
+
+def test_band_training_memory_is_below_full_attention_at_the_widest_window():
+    """At W = 2N - 1 the band covers every key, and its step still peaks below full attention."""
+    assert peak_training_bytes(512, window=1023) < peak_training_bytes(512, window="full")
