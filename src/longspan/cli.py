@@ -235,28 +235,28 @@ def cmd_select(args) -> int:
 
     outputs: list[dict] = []
     errors: list[dict] = []
-    processed: list[tuple[Example, selection.Selection]] = []
+    processed: list[tuple[Example, selection.Selection, list[float] | None]] = []
     for line_no, item in parsed:
         if isinstance(item, Example):
             scorer = None if model is None else (lambda doc, s=next(fused): s)
             try:
-                picked = selection.select(
-                    item.doc, lib_method, args.budget,
-                    reference=item.reference, scorer=scorer,
-                    seed=args.seed,
-                )
+                sims = (selection.oracle_similarities(item.doc, item.reference)
+                        if item.reference else None)
+                picked = selection.select(item.doc, lib_method, args.budget,
+                                          reference=item.reference, scorer=scorer,
+                                          seed=args.seed, similarities=sims)
             except LongspanError as exc:
                 item = exc
             else:
                 outputs.append(picked.to_record(item.doc))
-                processed.append((item, picked))
+                processed.append((item, picked, sims))
                 continue
         errors.append({"line": line_no, "error": str(item)})
         outputs.append(errors[-1])
 
     write_jsonl(args.output, outputs)
 
-    with_refs = [(ex, s) for ex, s in processed if ex.reference]
+    with_refs = [(ex, s, sims) for ex, s, sims in processed if sims is not None]
     report = {
         "method": args.method,
         "budget": args.budget,
@@ -264,19 +264,15 @@ def cmd_select(args) -> int:
         "documents": len(processed),
         "failed_lines": len(errors),
         "mean_words_used": (
-            float(np.mean([s.words_used for _, s in processed])) if processed else 0.0
+            float(np.mean([s.words_used for _, s, _ in processed])) if processed else 0.0
         ),
         "errors": errors,
     }
-    if with_refs:
-        report["pct_aggressive_oracle"] = 100.0 * selection.aggressive_fraction(
-            [ex for ex, _ in with_refs], args.budget
-        )
-        recall = mcs.recall_rate(
-            [s for _, s in with_refs],
-            [ex.doc for ex, _ in with_refs],
-            [ex.reference for ex, _ in with_refs],
-        )
+    if with_refs:  # selection.aggressive_fraction and mcs.recall_rate of the same similarities
+        report["pct_aggressive_oracle"] = 100.0 * selection.underfilled_fraction(
+            [(ex.doc, sims) for ex, _, sims in with_refs], args.budget)
+        recall = mcs.positive_recall([s for _, s, _ in with_refs],
+                                     [selection.positive_indices(sims) for _, _, sims in with_refs])
         if recall is not None:  # None: no sentence overlaps its reference
             report["pct_recall"] = recall
     report_path = args.report_file or (args.output + ".report.json")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -32,10 +33,8 @@ class Document:
     def __post_init__(self):
         if not self.sentences:
             raise InputError("document has no sentences")
-        if any(len(s) == 0 for s in self.sentences):
+        if not all(map(len, self.sentences)):
             raise InputError("document contains an empty sentence")
-        if self.total_words < 1:
-            raise InputError("document has no words")
 
     @property
     def n_sentences(self) -> int:
@@ -66,8 +65,8 @@ def example_from_record(record: dict, line_no: int | None = None) -> Example:
     for s in raw_sentences:
         if isinstance(s, str):
             toks = tokenize(s)
-        elif isinstance(s, list) and all(isinstance(t, str) for t in s):
-            toks = [t for t in s if t]
+        elif isinstance(s, list) and all(map(isinstance, s, repeat(str))):
+            toks = list(filter(None, s))
         else:
             raise FormatError(f"{where}each sentence must be a string or array of tokens")
         if toks:
@@ -77,16 +76,13 @@ def example_from_record(record: dict, line_no: int | None = None) -> Example:
     doc_id = record.get("id")
     if doc_id is not None:
         doc_id = str(doc_id)
-    try:
-        doc = Document(sentences, id=doc_id)
-    except InputError as exc:
-        raise FormatError(f"{where}{exc}") from exc
+    doc = Document(sentences, id=doc_id)  # cannot raise: no sentence is empty
     reference = record.get("reference")
     if reference is None:
         ref_tokens = None
     elif isinstance(reference, str):
         ref_tokens = tokenize(reference)
-    elif isinstance(reference, list) and all(isinstance(t, str) for t in reference):
+    elif isinstance(reference, list) and all(map(isinstance, reference, repeat(str))):
         ref_tokens = list(reference)
     else:
         raise FormatError(f"{where}'reference' must be a string or array of tokens")

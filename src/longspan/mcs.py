@@ -38,8 +38,8 @@ from .errors import (
     InputError,
     TrainingDivergedError,
 )
-from .metrics import ngram_recall
-from .selection import descending_order, select
+from .metrics import ngram_recall  # wrapped by perfbench/tracing.py; not called here
+from .selection import descending_order, oracle_similarities, positive_indices, select
 
 log = logging.getLogger(__name__)
 
@@ -147,9 +147,9 @@ def make_labels(doc: Document, reference: Sequence[str]) -> np.ndarray:
     """1.0 where the sentence has positive bigram recall against the reference."""
     if not reference:
         raise InputError("labels require a non-empty reference")
-    return np.array(
-        [1.0 if ngram_recall(s, reference, 2) > 0.0 else 0.0 for s in doc.sentences]
-    )
+    labels = np.zeros(doc.n_sentences)
+    labels[positive_indices(oracle_similarities(doc, reference))] = 1.0
+    return labels
 
 
 class McsModel:
@@ -579,36 +579,33 @@ def recall_rate(selections, docs, references) -> float | None:
     Documents with no positive-overlap sentence are excluded from the mean;
     None if that leaves none.
     """
-    rates = []
-    for selection, doc, reference in zip(selections, docs, references):
-        positive = {i for i, s in enumerate(doc.sentences)
-                    if ngram_recall(s, reference, 2) > 0.0}
-        if not positive:
-            continue
-        kept = positive.intersection(selection.indices)
-        rates.append(len(kept) / len(positive))
+    return positive_recall(selections, [_positives(d, r) for d, r in zip(docs, references)])
+
+
+def _positives(doc: Document, reference: Sequence[str] | None) -> list[int]:
+    """The document's positive-overlap sentences; none without a reference."""
+    return positive_indices(oracle_similarities(doc, reference)) if reference else []
+
+
+def positive_recall(selections, positives: Sequence[Sequence[int]]) -> float | None:
+    """:func:`recall_rate` given each document's :func:`positive_indices`."""
+    rates = [len(set(positive).intersection(selection.indices)) / len(positive)
+             for selection, positive in zip(selections, positives) if positive]
     return 100.0 * float(np.mean(rates)) if rates else None
 
 
 def random_selection_recall(examples: Sequence[Example], budget: int,
                             trials: int, seed: int) -> float:
     """Monte-Carlo recall of uniformly random rankings at the same budget."""
+    positives = [_positives(ex.doc, ex.reference) for ex in examples]
+    if not any(positives):
+        raise InputError("no document has a positive-overlap sentence")
     rng = np.random.default_rng(seed)
     rates = []
     for _ in range(trials):
-        selections, docs, refs = [], [], []
-        for ex in examples:
-            noise = rng.random(ex.doc.n_sentences)
-            scores = noise.tolist()
-            selections.append(
-                select(ex.doc, "model", budget, scorer=lambda d, s=scores: s)
-            )
-            docs.append(ex.doc)
-            refs.append(ex.reference)
-        rate = recall_rate(selections, docs, refs)
-        if rate is None:
-            raise InputError("no document has a positive-overlap sentence")
-        rates.append(rate)
+        noise = [rng.random(ex.doc.n_sentences).tolist() for ex in examples]
+        rates.append(positive_recall([select(ex.doc, "model", budget, scorer=lambda d, s=s: s)
+                                      for ex, s in zip(examples, noise)], positives))
     return float(np.mean(rates))
 
 

@@ -8,11 +8,10 @@ texts processed by this module.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError
 
@@ -45,31 +44,29 @@ def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-@functools.lru_cache(maxsize=8)
-def _reference_counts(reference: tuple[str, ...], n: int) -> tuple[Counter, int]:
-    """The reference's n-gram counter and total, shared by every caller: do not mutate.
-
-    Keyed by value, so the oracle ranking of one document counts its
-    reference once however many sentences it scores.
-    """
-    return ngram_counts(reference, n), max(len(reference) - n + 1, 0)
+def _clipped_matches(candidate: TokenSeq, ref: Counter, n: int) -> int:
+    """Candidate n-grams found in the reference counts ``ref``, each clipped to its count."""
+    hits = list(filter(ref.__contains__, zip(*[candidate[i:] for i in range(n)])))
+    return sum(min(count, ref[gram]) for gram, count in Counter(hits).items()) if hits else 0
 
 
-def _clipped_matches(candidate: TokenSeq, reference: TokenSeq, n: int) -> tuple[int, int, int]:
-    ref, ref_total = _reference_counts(tuple(reference), n)
-    hits = [gram for gram in zip(*(candidate[i:] for i in range(n))) if gram in ref]
-    matched = sum(min(count, ref[gram]) for gram, count in Counter(hits).items()) if hits else 0
-    return matched, max(len(candidate) - n + 1, 0), ref_total
+def ngram_recalls(candidates: Iterable[TokenSeq], reference: TokenSeq, n: int) -> list[float]:
+    """Each candidate's clipped n-gram matches over the reference's n-gram count, counted
+    once for all of them (every recall is 0 if the reference has fewer than ``n`` tokens)."""
+    ref = ngram_counts(reference, n)
+    ref_total = max(len(reference) - n + 1, 0)
+    return [_clipped_matches(c, ref, n) / ref_total if ref_total > 0 else 0.0
+            for c in candidates]
 
 
 def ngram_recall(candidate: TokenSeq, reference: TokenSeq, n: int) -> float:
-    """Clipped n-gram matches over reference n-gram count (0 if reference < n tokens)."""
-    matched, _, ref_total = _clipped_matches(candidate, reference, n)
-    return matched / ref_total if ref_total > 0 else 0.0
+    """:func:`ngram_recalls` of one candidate."""
+    return ngram_recalls([candidate], reference, n)[0]
 
 
 def rouge_n(candidate: TokenSeq, reference: TokenSeq, n: int) -> RougeScore:
-    matched, cand_total, ref_total = _clipped_matches(candidate, reference, n)
+    matched = _clipped_matches(candidate, ngram_counts(reference, n), n)
+    cand_total, ref_total = max(len(candidate) - n + 1, 0), max(len(reference) - n + 1, 0)
     precision = matched / cand_total if cand_total > 0 else 0.0
     recall = matched / ref_total if ref_total > 0 else 0.0
     return RougeScore.from_pr(precision, recall)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .corpus import Document, Example
 from .errors import DomainError, InputError, ScorerError
-from .metrics import ngram_recall
+from .metrics import ngram_recall, ngram_recalls  # ngram_recall: wrapped by perfbench/tracing.py
 
 log = logging.getLogger(__name__)
 
@@ -87,16 +87,25 @@ def descending_order(scores: Sequence[float]) -> list[int]:
 
 
 def oracle_similarities(doc: Document, reference: Sequence[str]) -> list[float]:
-    """Bigram recall of each sentence against the reference summary."""
+    """Bigram recall of each sentence against the reference summary, in one pass."""
     if not reference:
         raise InputError("oracle ranking requires a non-empty reference")
-    return [ngram_recall(sentence, reference, 2) for sentence in doc.sentences]
+    return ngram_recalls(doc.sentences, reference, 2)
+
+
+def positive_indices(similarities: Sequence[float]) -> list[int]:
+    """The sentences that overlap the reference, in document order."""
+    return [i for i, sim in enumerate(similarities) if sim > 0.0]
+
+
+def oracle_order(similarities: Sequence[float]) -> list[int]:
+    """The positive sentences by descending similarity; a stable sort keeps ties in index order."""
+    return sorted(positive_indices(similarities), key=lambda i: -similarities[i])
 
 
 def rank_oracle(doc: Document, reference: Sequence[str]) -> Ranking:
     """Descending similarity to the reference over the sentences that overlap it."""
-    sims = oracle_similarities(doc, reference)
-    return Ranking([i for i in descending_order(sims) if sims[i] > 0.0])
+    return Ranking(oracle_order(oracle_similarities(doc, reference)))
 
 
 def rank_model(doc: Document, scorer: Callable[[Document], Sequence[float]]) -> Ranking:
@@ -164,8 +173,10 @@ def pad_selection(core: Selection, doc: Document, mode: str, budget: int,
 def select(doc: Document, method: str, budget: int,
            reference: Sequence[str] | None = None,
            scorer: Callable[[Document], Sequence[float]] | None = None,
-           seed: int | None = None) -> Selection:
-    """One-call pipeline: rank by ``method``, truncate, restore order."""
+           seed: int | None = None,
+           similarities: Sequence[float] | None = None) -> Selection:
+    """One-call pipeline: rank by ``method``, truncate, restore order.  An oracle method
+    ranks by ``similarities``, the caller's :func:`oracle_similarities`, if given."""
     if method == METHOD_TRC:
         ranking = rank_trc(doc)
     elif method == METHOD_MODEL:
@@ -175,7 +186,8 @@ def select(doc: Document, method: str, budget: int,
     elif method in (METHOD_ORC_NO_PAD, METHOD_ORC_PAD_LEAD, METHOD_ORC_PAD_RAND):
         if reference is None:
             raise InputError("oracle selection requires a reference")
-        ranking = rank_oracle(doc, reference)
+        ranking = Ranking(oracle_order(
+            oracle_similarities(doc, reference) if similarities is None else similarities))
     else:
         raise DomainError(f"unknown selection method {method!r}")
     selection = truncate_and_sort(doc, ranking, budget)
@@ -192,16 +204,18 @@ def aggressive_fraction(examples: Iterable[Example], budget: int) -> float:
     Documents without a reference are skipped with a warning and excluded
     from the denominator.
     """
-    counted = 0
-    aggressive = 0
+    scored = []
     for ex in examples:
         if ex.reference is None:
             log.warning("document %s has no reference; skipped", ex.doc.id)
             continue
-        sel = truncate_and_sort(ex.doc, rank_oracle(ex.doc, ex.reference), budget)
-        counted += 1
-        if sel.words_used < budget:
-            aggressive += 1
-    if counted == 0:
+        scored.append((ex.doc, oracle_similarities(ex.doc, ex.reference)))
+    return underfilled_fraction(scored, budget)
+
+
+def underfilled_fraction(scored: Sequence[tuple[Document, Sequence[float]]], budget: int) -> float:
+    """:func:`aggressive_fraction` of (document, :func:`oracle_similarities`) pairs."""
+    if not scored:
         raise InputError("no documents with references to evaluate")
-    return aggressive / counted
+    return sum(truncate_and_sort(doc, Ranking(oracle_order(sims)), budget).words_used < budget
+               for doc, sims in scored) / len(scored)

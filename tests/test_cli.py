@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from longspan import attention, costmodel, mcs
+from longspan import attention, costmodel, mcs, metrics
+from longspan import selection as sel
 from longspan.checkpoint import load_tensors, save_tensors
 from longspan.cli import INFERENCE_GROUP, build_parser, main
 from longspan.corpus import Document, Example, load_corpus, make_synthetic_corpus, write_corpus
@@ -347,6 +348,61 @@ class TestSelect:
                                 "--budget", "40")
         assert code == 0
         assert report["pct_recall"] == 100.0
+
+
+ORACLE_METHODS = [sel.METHOD_ORC_NO_PAD, sel.METHOD_ORC_PAD_LEAD, sel.METHOD_ORC_PAD_RAND]
+
+
+class TestSelectReport:
+    """The select report's oracle statistics come from one similarity pass per document."""
+
+    @pytest.fixture()
+    def mixed(self, capsys, tmp_path, corpus_path):
+        examples = make_synthetic_corpus(5, seed=12, n_sentences=(3, 6),
+                                         words_per_sentence=(2, 5))
+        examples[1].reference = None
+        examples[3].reference = ["topic01"]  # one token: no bigram, every similarity 0
+        path = tmp_path / "mixed.jsonl"
+        write_corpus(path, examples)
+        return path, load_corpus(path), train_tiny(capsys, corpus_path, tmp_path)
+
+    @pytest.mark.parametrize("method", ["trc", "mcs", *ORACLE_METHODS])
+    def test_report_is_the_library_statistics_of_one_pass(self, capsys, tmp_path, monkeypatch,
+                                                          mixed, method):
+        path, examples, ckpt = mixed
+        passes, sentences = [], []
+
+        def counted_pass(candidates, reference, n):
+            passes.append(len(candidates))
+            return real_pass(candidates, reference, n)
+
+        def counted_matches(candidate, ref, n):
+            sentences.append(candidate)
+            return real_matches(candidate, ref, n)
+
+        real_pass, real_matches = metrics.ngram_recalls, metrics._clipped_matches
+        monkeypatch.setattr(sel, "ngram_recalls", counted_pass)
+        monkeypatch.setattr(metrics, "_clipped_matches", counted_matches)
+        out = tmp_path / f"{method}.jsonl"
+        extra = ["--checkpoint", str(ckpt)] if method == "mcs" else []
+        code, report = run_json(capsys, "select", "--input", str(path), "--output", str(out),
+                                "--method", method, "--budget", "9", "--seed", "2", *extra)
+        monkeypatch.undo()
+
+        referenced = [ex for ex in examples if ex.reference]
+        assert passes == [ex.doc.n_sentences for ex in referenced]
+        # each sentence matched once; a one-token reference has no bigram to match
+        assert sentences == [s for ex in referenced if len(ex.reference) > 1
+                             for s in ex.doc.sentences]
+        lines = read_jsonl(out)
+        assert code == (1 if method in ORACLE_METHODS else 0)  # the doc with no reference
+        picked = [(ex, sel.Selection(line["kept_indices"], line["words_used"]))
+                  for ex, line in zip(examples, lines) if "error" not in line and ex.reference]
+        assert len(picked) == len(referenced)
+        assert report["pct_aggressive_oracle"] == 100.0 * sel.aggressive_fraction(
+            [ex for ex, _ in picked], 9)
+        assert report["pct_recall"] == mcs.recall_rate(
+            [s for _, s in picked], [ex.doc for ex, _ in picked], [ex.reference for ex, _ in picked])
 
 
 class TestAnalyzeAttention:

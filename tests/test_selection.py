@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from longspan import mcs, metrics
 from longspan import selection as sel
 from longspan.corpus import Document, Example, make_synthetic_corpus
 from longspan.errors import DomainError, InputError, ScorerError
 from longspan.metrics import ngram_recall
+
+from test_metrics import brute_force_ngram_recall
 
 
 def doc_from_words(*sentences):
@@ -64,6 +69,38 @@ class TestRankOracle:
     def test_empty_reference_rejected(self):
         with pytest.raises(InputError):
             sel.rank_oracle(doc_from_words("a b"), [])
+
+
+class TestOraclePass:
+    """One pass per document scores every sentence as the per-sentence form would."""
+
+    # three tokens, so bigrams repeat within a sentence and within the reference
+    tokens = st.sampled_from(["a", "b", "c"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(sentences=st.lists(st.lists(tokens, min_size=1, max_size=8), min_size=1, max_size=6),
+           reference=st.lists(tokens, max_size=10), n=st.integers(1, 3))
+    @example(sentences=[["a"], ["a", "b"]], reference=[], n=2)
+    @example(sentences=[["a"], ["a", "a"]], reference=["a"], n=2)
+    @example(sentences=[["a", "b", "a", "b", "a", "b"], ["b"], ["b", "a"]],
+             reference=["a", "b"], n=2)
+    @example(sentences=[["a", "b", "a", "b"], ["c"], ["a", "b", "c", "a", "b"]],
+             reference=["a", "b", "c", "a", "b", "a", "b"], n=2)
+    def test_similarities_equal_brute_force(self, sentences, reference, n):
+        want = [brute_force_ngram_recall(s, reference, n) for s in sentences]
+        assert metrics.ngram_recalls(sentences, reference, n) == want
+        assert [metrics.ngram_recall(s, reference, n) for s in sentences] == want
+        if n != 2 or not reference:
+            return
+        doc = Document(sentences)
+        assert sel.oracle_similarities(doc, reference) == want
+        assert sel.positive_indices(want) == [i for i, w in enumerate(want) if w > 0]
+        assert mcs.make_labels(doc, reference).tolist() == [1.0 if w > 0 else 0.0 for w in want]
+
+    def test_empty_candidate_list_still_checks_n(self):
+        assert metrics.ngram_recalls([], ["a", "b"], 2) == []
+        with pytest.raises(DomainError):
+            metrics.ngram_recalls([], ["a", "b"], 0)
 
 
 class TestRankModel:

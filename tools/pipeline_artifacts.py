@@ -9,6 +9,8 @@ sets otherwise.
 One corpus (``make-corpus --docs 40 --seed 7 --max-sentences 14``) is trained on,
 scored and selected from (``--method mcs --budget 14``) at each (gamma, layers) pair
 of ``SETTINGS``; each output is named after its pair, e.g. ``g0.2-l1.lsnt``.  The
+same corpus is selected from with each method of ``REFERENCE_METHODS`` (``--budget 14
+--seed 5``), which pins the oracle rankings and the ``%AgORC`` / ``%Recall`` reports.  The
 diagnostics add one ``analyze-attention`` report per case of ``ATTENTION`` (the last
 on ``toy.lsnt``, a seeded toy model the script saves) and one ``cost-model`` report.
 """
@@ -28,6 +30,7 @@ from longspan.cli import main
 SETTINGS = [(0.2, 1), (0.2, 2), (0, 1), (1, 1)]
 TRAIN = ["--steps", "60", "--warmup", "100", "--seed", "3", "--embed-dim", "16",
          "--hidden-dim", "16", "--max-sentences", "8", "--max-words", "6", "--max-target", "12"]
+REFERENCE_METHODS = ["trc", "orc-no-pad", "orc-pad-lead", "orc-pad-rand"]
 ATTENTION = [
     ("n5-w3", "-N", "5", "--window", "3"),
     ("n40-w7", "-N", "40", "--window", "7"),
@@ -60,6 +63,10 @@ def write_artifacts(outdir: str) -> None:
         run(f"{stem}.select.json", "select", "--input", "corpus.jsonl",
             "--checkpoint", f"{stem}.lsnt", "--output", f"{stem}.picked.jsonl",
             "--method", "mcs", "--budget", "14")
+    for method in REFERENCE_METHODS:
+        run(f"{method}.select.json", "select", "--input", "corpus.jsonl",
+            "--output", f"{method}.picked.jsonl", "--method", method, "--budget", "14",
+            "--seed", "5")
     ToySeq2Seq.init(ToyModelConfig(max_src=48), seed=7).save("toy.lsnt")
     for name, *argv in ATTENTION:
         run(f"attention-{name}.json", "analyze-attention", *argv)
