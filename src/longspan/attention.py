@@ -5,14 +5,12 @@ around each query position (boundary rows simply see fewer neighbors);
 decoder self-attention stays causal and cross-attention stays full.  An
 integer window runs the encoder through :func:`autodiff.banded_attention`,
 which computes its [H x N x 2h+1] band (h = W // 2) in blocks of queries,
-so time and memory grow with N * W rather than N^2.  A ``"full"`` window and
-cross-attention use the dense product (:func:`multi_head_attention`) with
-no mask; only decoder self-attention passes one (:func:`causal_mask`).
-The dense product under :func:`build_local_mask` is the test oracle the
-band is checked against; no production path builds that mask.  Only the
-diagnostic :meth:`ToySeq2Seq.encoder_forward` expands the band into
-[H x N x N] maps, and :func:`mean_attention_distance` reads each head of
-them directly.
+so time and memory grow with N * W rather than N^2.  A ``"full"`` window,
+cross-attention and decoder self-attention go through
+:func:`autodiff.dense_attention`, one op that keeps one [H x Nq x Nk]
+buffer per layer: the scores, softmaxed in place into the layer's map.
+:func:`build_local_mask` is the dense oracle the band is tested against;
+only :meth:`ToySeq2Seq.encoder_forward`'s maps expand a band to N x N.
 
 Encoder positions are a gather from the stored base table, tiled
 palindromically (copy, then flipped copy, alternating) to the input's
@@ -123,16 +121,11 @@ def multi_head_attention(
     """Scaled dot-product attention over permitted positions.
 
     Returns the projected output [Nq x d_model] and the attention weights
-    [heads x Nq x Nk] for diagnostics.  Rows of ``mask`` must each permit
-    at least one key; ``mask=None`` permits every key.
+    [heads x Nq x Nk], read-only (:func:`autodiff.dense_attention`).  Each row
+    of ``mask`` [Nq x Nk] must permit a key; ``mask=None`` permits every key.
     """
-    qh, kh, vh = _project_heads(q, k, v, params, n_heads)
-    scores = ad.mul(
-        ad.matmul(qh, ad.transpose(kh, (0, 2, 1))),
-        ad.Tensor(np.float64(1.0 / math.sqrt(qh.shape[-1]))),
-    )
-    attn = ad.masked_softmax(scores, None if mask is None else mask[None, :, :])
-    return _merge_heads(ad.matmul(attn, vh), params), attn
+    ctx, attn = ad.dense_attention(*_project_heads(q, k, v, params, n_heads), mask)
+    return _merge_heads(ctx, params), attn
 
 
 def banded_multi_head_attention(
@@ -152,8 +145,7 @@ def banded_multi_head_attention(
     window = int(window)
     if window < 1:
         raise DomainError(f"window must be >= 1, got {window}")
-    qh, kh, vh = _project_heads(q, k, v, params, n_heads)
-    ctx, band = ad.banded_attention(qh, kh, vh, window // 2)
+    ctx, band = ad.banded_attention(*_project_heads(q, k, v, params, n_heads), window // 2)
     return _merge_heads(ctx, params), band
 
 

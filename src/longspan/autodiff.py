@@ -293,11 +293,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
-    out = np.transpose(a.data, axes)
-    if axes is None:
-        return _apply(out, (a,), lambda g: (np.transpose(g),))
-    inv = np.argsort(axes)
-    return _apply(out, (a,), lambda g: (np.transpose(g, inv),))
+    inv = None if axes is None else np.argsort(axes)  # reversing the axes is its own inverse
+    return _apply(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -372,11 +369,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _check_rows_permitted(mask: Array) -> None:
-    ok = mask.any(axis=-1)
+def _checked_mask(mask, shape: tuple[int, ...]) -> Array:
+    """``mask`` as bools; it must broadcast to ``shape`` and permit an entry in every row."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim > len(shape) or any(m not in (1, s) for m, s in zip(mask.shape[::-1], shape[::-1])):
+        raise DimensionError(f"mask {mask.shape} does not broadcast to {shape}")
+    ok = mask.any(axis=-1)  # broadcasting only repeats the mask's rows
     if not ok.all():
         bad = np.argwhere(~ok)[0]
         raise DegenerateRowError(f"softmax row {tuple(int(i) for i in bad)} has no permitted entry")
+    return mask
+
+
+def _softmax_rows(buf: Array, blocked: Array | None) -> None:
+    """Row softmax over the last axis of ``buf``, in place; ``blocked`` slots come out exactly 0."""
+    if blocked is not None:
+        np.copyto(buf, -np.inf, where=blocked)
+    buf -= buf.max(axis=-1, keepdims=True)
+    np.exp(buf, out=buf)  # blocked slots: exp(-inf) == 0 exactly
+    buf /= buf.sum(axis=-1, keepdims=True)
+
+
+def _softmax_rows_adjoint(probs: Array, g: Array) -> Array:  # overwrites g
+    g -= np.einsum("...l,...l->...", probs, g)[..., None]
+    g *= probs  # the logits' gradient; 0 in every blocked slot
+    return g
 
 
 def masked_softmax(logits: Tensor, mask: Array | None) -> Tensor:
@@ -384,25 +401,40 @@ def masked_softmax(logits: Tensor, mask: Array | None) -> Tensor:
 
     Masked entries come out exactly 0; each row of permitted entries sums
     to 1.  Stabilized by subtracting the row max over permitted entries.
-    ``mask=None`` permits every entry.
+    ``mask=None`` permits every entry; a mask must broadcast to the logits.
     """
-    shifted = logits.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        _check_rows_permitted(mask)  # broadcasting only repeats the mask's rows
-        shifted = np.where(mask, shifted, -np.inf)
-        if shifted.shape != logits.shape:
-            raise DimensionError(f"mask {mask.shape} does not broadcast to {logits.shape}")
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)  # masked entries: exp(-inf) == 0 exactly
-    denom = expd.sum(axis=-1, keepdims=True)
-    out = expd / denom
+    blocked = None if mask is None else ~_checked_mask(mask, logits.shape)
+    out = np.array(logits.data)
+    _softmax_rows(out, blocked)
 
     def bwd(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
     return _apply(out, (logits,), bwd)
+
+
+def dense_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array | None) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention of [H x Nq x d] q over [H x Nk x d] k and v, as one op.
+
+    ``mask`` broadcasts to [H x Nq x Nk]; ``None`` permits every key.  One buffer holds
+    the scores, then in place the probabilities, which the backward reads; returns the
+    context [H x Nq x d] and that buffer as a Tensor, which callers must not modify.
+    """
+    if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape or k.shape[::2] != q.shape[::2]:
+        raise DimensionError(f"dense_attention got q {q.shape}, k {k.shape}, v {v.shape}")
+    blocked = None if mask is None else ~_checked_mask(mask, q.shape[:2] + k.shape[1:2])
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    buf = np.matmul(q.data, k.data.swapaxes(-1, -2))
+    buf *= scale
+    _softmax_rows(buf, blocked)
+
+    def bwd(g):
+        ds = _softmax_rows_adjoint(buf, np.matmul(g, v.data.swapaxes(-1, -2)))
+        return (np.matmul(ds, k.data) * scale, np.matmul(ds.swapaxes(-1, -2), q.data) * scale,
+                np.matmul(buf.swapaxes(-1, -2), g))
+
+    return _apply(np.matmul(buf, v.data), (q, k, v), bwd), Tensor._wrap(buf)
 
 
 def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor, Array]:
@@ -459,10 +491,7 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor
     probs = block_view(buf)
     np.matmul(blocks(q.data), window(padded(k.data / scale)).swapaxes(-1, -2), out=probs)
     i, s = np.arange(rows)[:, None], np.arange(width + 1)
-    np.copyto(buf, -np.inf, where=(s > 2 * h) | (s < h - i) | (s >= n + h - i))
-    buf -= buf.max(axis=-1, keepdims=True)
-    np.exp(buf, out=buf)
-    buf /= buf.sum(axis=-1, keepdims=True)
+    _softmax_rows(buf, (s > 2 * h) | (s < h - i) | (s >= n + h - i))
     ctx = np.matmul(probs, window(padded(v.data))).reshape(n_heads, rows, d_head)[:, :n]
 
     def bwd(g):
@@ -470,8 +499,7 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor
         dprobs = block_view(dbuf)
         np.matmul(gb, window(padded(v.data)).swapaxes(-1, -2), out=dprobs)
         dv = fold(np.matmul(probs.swapaxes(-1, -2), gb))
-        dbuf -= np.einsum("...l,...l->...", buf, dbuf)[..., None]
-        dbuf *= buf  # d(scores); 0 in every masked slot
+        _softmax_rows_adjoint(buf, dbuf)  # d(scores)
         dq = np.matmul(dprobs, window(padded(k.data / scale)))
         dk = fold(np.matmul(dprobs.swapaxes(-1, -2), blocks(q.data))) / scale
         return dq.reshape(n_heads, rows, d_head)[:, :n], dk, dv

@@ -166,6 +166,12 @@ class TestMaskedSoftmax:
         with pytest.raises(DegenerateRowError, match="row"):
             ad.masked_softmax(ad.Tensor(np.zeros((2, 2))), mask)
 
+    def test_mask_of_the_wrong_shape_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match="does not broadcast"):
+            ad.masked_softmax(ad.Tensor(np.zeros((2, 3))), np.ones(4, dtype=bool))
+        with pytest.raises(DimensionError, match="does not broadcast"):
+            ad.masked_softmax(ad.Tensor(np.zeros(3)), np.ones((2, 3), dtype=bool))
+
     @settings(max_examples=60, deadline=None)
     @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
            scale=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2**32 - 1))

@@ -201,6 +201,9 @@ def test_training_memory_grows_linearly_in_n():
     assert ratio <= 3.0, ratio
 
 
-def test_band_training_memory_is_below_full_attention_at_the_widest_window():
-    """At W = 2N - 1 the band covers every key, and its step still peaks below full attention."""
-    assert peak_training_bytes(512, window=1023) < peak_training_bytes(512, window="full")
+def test_full_attention_training_peaks_within_five_score_buffers_and_above_the_band():
+    """Full attention keeps one [H x N x N] buffer per layer; the band at W=32 peaks lower."""
+    n, heads = 512, attn.ToyModelConfig().n_heads
+    full = peak_training_bytes(n, window="full")
+    assert full < 5 * heads * n * n * 8, full / (heads * n * n * 8)
+    assert peak_training_bytes(n, window=32) < full

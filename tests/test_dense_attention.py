@@ -1,0 +1,92 @@
+"""The dense attention op against the composed autodiff oracle, and its mask checks."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from longspan import attention as attn
+from longspan import autodiff as ad
+from longspan.errors import DegenerateRowError, DimensionError
+
+
+def composed_attention(q, k, v, mask):
+    """matmul -> mul(1/sqrt(d)) -> masked_softmax -> matmul, five tape records."""
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))),
+                    ad.Tensor(np.float64(1.0 / math.sqrt(q.shape[-1]))))
+    probs = ad.masked_softmax(scores, mask)
+    return ad.matmul(probs, v), probs
+
+
+@st.composite
+def op_cases(draw):
+    """(H, Nq, Nk, d, mask kind, seed); Nq != Nk is cross-attention's shape."""
+    return (draw(st.integers(1, 4)), draw(st.integers(1, 24)), draw(st.integers(1, 24)),
+            draw(st.integers(1, 8)), draw(st.sampled_from(["none", "causal", "random"])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def make_mask(kind, nq, nk, rng):
+    if kind == "none":
+        return None
+    if kind == "causal":
+        return np.tril(np.ones((nq, nk), dtype=bool))
+    mask = rng.random((nq, nk)) < 0.5
+    mask[np.arange(nq), rng.integers(0, nk, nq)] = True  # every row permits a key
+    return mask
+
+
+@settings(max_examples=120, deadline=None)
+@given(op_cases())
+@example((1, 1, 1, 1, "none", 0))
+@example((4, 24, 24, 8, "causal", 1))
+@example((2, 5, 17, 3, "random", 2))
+@example((3, 24, 1, 4, "causal", 3))
+def test_op_matches_the_composed_oracle(case):
+    heads, nq, nk, d, kind, seed = case
+    rng = np.random.default_rng(seed)
+    data = [rng.normal(size=(heads, n, d)) for n in (nq, nk, nk)]
+    mask = make_mask(kind, nq, nk, rng)
+    g = ad.Tensor(rng.normal(size=(heads, nq, d)))
+    results = []
+    for op in (ad.dense_attention, composed_attention):
+        qkv = [ad.parameter(x) for x in data]
+        with ad.Tape() as tape:
+            ctx, probs = op(*qkv, mask)
+            records = len(tape)
+            tape.backward(ad.tsum(ad.mul(ctx, g)))
+        results.append((ctx.data, probs.data, [t.grad for t in qkv], records))
+        for t, x in zip(qkv, data):
+            assert np.array_equal(t.data, x)  # q, k and v are left unmodified
+    (ctx, probs, grads, records), (ctx_o, probs_o, grads_o, _) = results
+    assert records == 1
+    assert np.array_equal(probs, probs_o)
+    assert np.abs(ctx - ctx_o).max() <= 1e-12
+    for name, got, want in zip("qkv", grads, grads_o):
+        assert np.abs(got - want).max() <= 1e-12, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_a_row_without_a_permitted_key_raises(nq, nk, seed):
+    rng = np.random.default_rng(seed)
+    mask = make_mask("random", nq, nk, rng)
+    mask[rng.integers(0, nq)] = False
+    q, k = ad.Tensor(rng.normal(size=(2, nq, 3))), ad.Tensor(rng.normal(size=(2, nk, 3)))
+    with pytest.raises(DegenerateRowError, match="no permitted entry"):
+        ad.dense_attention(q, k, k, mask)
+
+
+def test_mask_of_the_wrong_shape_is_a_dimension_error():
+    rng = np.random.default_rng(0)
+    q, k = ad.Tensor(rng.normal(size=(2, 5, 3))), ad.Tensor(rng.normal(size=(2, 4, 3)))
+    with pytest.raises(DimensionError, match="does not broadcast"):
+        ad.dense_attention(q, k, k, np.ones((5, 5), dtype=bool))
+    x = ad.Tensor(rng.normal(size=(5, 8)))
+    params = attn.AttentionParams.init(8, rng)
+    with pytest.raises(DimensionError, match="does not broadcast"):
+        attn.multi_head_attention(x, x, x, np.ones((5, 4), dtype=bool), params, 2)
+    with pytest.raises(DimensionError, match="dense_attention got"):
+        ad.dense_attention(q, k, q, None)
