@@ -218,14 +218,6 @@ class ToyModelConfig:
             raise DomainError(f"window must be >= 1 or '{FULL}'")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = ad.tmean(x, axis=-1, keepdims=True)
-    centered = ad.sub(x, mu)
-    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    inv = ad.power(ad.add(var, ad.Tensor(np.float64(eps))), -0.5)
-    return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
-
-
 class ToySeq2Seq:
     """Post-norm transformer encoder-decoder with a banded encoder.
 
@@ -286,14 +278,16 @@ class ToySeq2Seq:
     # -- forward ----------------------------------------------------------
 
     def _check_tokens(self, tokens, limit: int, what: str) -> np.ndarray:
-        ids = np.asarray(tokens, dtype=np.intp)
+        ids = np.asarray(tokens)
         if ids.ndim != 1 or ids.size == 0:
             raise InputError(f"{what} must be a non-empty 1-D token sequence")
+        if ids.dtype.kind not in "iu":  # floats would truncate and bools pass as 0/1
+            raise InputError(f"{what} must be integer token ids, got {ids.dtype}")
         if ids.size > limit:
             raise InputError(f"{what} length {ids.size} exceeds limit {limit}")
         if ids.min() < 0 or ids.max() >= self.config.vocab:
             raise InputError(f"{what} contains a token id outside the vocabulary")
-        return ids
+        return ids.astype(np.intp, copy=False)
 
     def _encoder_positions(self, n: int) -> Tensor:
         return extend_positional_embedding(self.params["pos_enc"], n)
@@ -302,16 +296,16 @@ class ToySeq2Seq:
                        cross_states: Tensor | None = None) -> Tensor:
         """The rest of one post-norm block, given its self-attention output ``attn_out``."""
         p = self.params
-        x = layer_norm(ad.add(x, attn_out), p[f"{prefix}.ln_a.g"], p[f"{prefix}.ln_a.b"])
+        x = ad.layer_norm(ad.add(x, attn_out), p[f"{prefix}.ln_a.g"], p[f"{prefix}.ln_a.b"])
         if cross_states is not None:
             xatt_out, _ = multi_head_attention(
                 x, cross_states, cross_states, None,
                 self._attn_params(f"{prefix}.xattn"), self.config.n_heads,
             )
-            x = layer_norm(ad.add(x, xatt_out), p[f"{prefix}.ln_x.g"], p[f"{prefix}.ln_x.b"])
+            x = ad.layer_norm(ad.add(x, xatt_out), p[f"{prefix}.ln_x.g"], p[f"{prefix}.ln_x.b"])
         h = ad.gelu(ad.add(ad.matmul(x, p[f"{prefix}.ffn.w1"]), p[f"{prefix}.ffn.b1"]))
         ffn = ad.add(ad.matmul(h, p[f"{prefix}.ffn.w2"]), p[f"{prefix}.ffn.b2"])
-        return layer_norm(ad.add(x, ffn), p[f"{prefix}.ln_f.g"], p[f"{prefix}.ln_f.b"])
+        return ad.layer_norm(ad.add(x, ffn), p[f"{prefix}.ln_f.g"], p[f"{prefix}.ln_f.b"])
 
     def encoder_forward(self, tokens, need_weights: bool = True) -> tuple[Tensor, list[Tensor]]:
         """Embed, add positions, run banded self-attention layers.

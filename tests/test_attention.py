@@ -215,6 +215,25 @@ class TestEncoder:
         with pytest.raises(InputError, match="vocabulary"):
             model.encoder_forward([0, model.config.vocab])
 
+    @pytest.mark.parametrize("tokens", [[1.7, 2.9, 3.2], [1.0, 2.0], [True, False, True],
+                                        np.array([3, 4], dtype=np.float32), ["3", "4"], [3, 4.5]])
+    def test_non_integer_tokens_rejected(self, tokens):
+        model = attn.ToySeq2Seq.init(seed=0)
+        with pytest.raises(InputError, match="integer token ids"):
+            model.encoder_forward(tokens)
+        with pytest.raises(InputError, match="integer token ids"):
+            model.loss([3, 4, 5], tokens)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
+    def test_integer_arrays_of_any_width_encode_alike(self, dtype):
+        model = attn.ToySeq2Seq.init(seed=0)
+        tokens = [3, 17, 42, 99]
+        states, _ = model.encoder_forward(tokens)
+        assert np.array_equal(model.encoder_forward(np.array(tokens, dtype=dtype))[0].data,
+                              states.data)
+        assert model.loss(np.array(tokens, dtype=dtype), np.array([5, 6], dtype=dtype)).item() \
+            == model.loss(tokens, [5, 6]).item()
+
 
 class TestSeq2Seq:
     def test_logits_shape(self):

@@ -383,14 +383,12 @@ class TestPerOpGradients:
 
     CASES = {
         "add": lambda a, b: ad.tsum(ad.add(a, b)),
-        "sub": lambda a, b: ad.tsum(ad.mul(ad.sub(a, b), ad.sub(a, b))),
         "mul": lambda a, b: ad.tsum(ad.mul(a, b)),
         "matmul": lambda a, b: ad.tsum(ad.matmul(a, ad.transpose(b))),
         "tanh": lambda a, b: ad.tsum(ad.tanh(a)),
         "sigmoid": lambda a, b: ad.tsum(ad.sigmoid(a)),
         "gelu": lambda a, b: ad.tsum(ad.gelu(a)),
-        "power": lambda a, b: ad.tsum(ad.power(ad.add(ad.mul(a, a), ad.Tensor(np.ones(a.shape))), 1.5)),
-        "mean": lambda a, b: ad.tmean(ad.mul(a, b)),
+        "layer_norm": lambda a, b: ad.tsum(ad.mul(ad.layer_norm(a, ad.getitem(b, 0), ad.getitem(b, 1)), b)),
         "softmax": lambda a, b: ad.tsum(ad.mul(ad.masked_softmax(a, None), b)),
         "log_softmax": lambda a, b: ad.tsum(ad.mul(ad.log_softmax(a), b)),
         "reshape": lambda a, b: ad.tsum(ad.mul(ad.reshape(a, (a.data.size,)), ad.reshape(b, (b.data.size,)))),
@@ -434,6 +432,51 @@ class TestPerOpGradients:
                 return ad.tsum(ad.mul(ad.masked_softmax(logits, mask), ad.Tensor(mix)))
 
             check_grad_fd(f, [logits], max_coords=5, seed=seed)
+
+
+def composed_layer_norm(x, gain, bias, eps=1e-5):
+    """Layer norm as the separate numpy steps of a per-op composition, in their order."""
+    centered = x - np.asarray(x.mean(axis=-1, keepdims=True))
+    var = np.asarray((centered * centered).mean(axis=-1, keepdims=True))
+    inv = (var + np.float64(eps)) ** -0.5
+    return centered * inv * gain + bias
+
+
+class TestLayerNorm:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 64), d=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.1, 1.0, 10.0]), constant_rows=st.booleans())
+    def test_op_matches_the_composition(self, rows, d, seed, scale, constant_rows):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, d)) * scale
+        if constant_rows:
+            x[::2] = rng.normal(size=(len(x[::2]), 1))  # zero variance: inv = eps^-1/2
+        gain, bias, mix = rng.normal(size=d), rng.normal(size=d), rng.normal(size=(rows, d))
+        xt, gt, bt = ad.parameter(x), ad.parameter(gain), ad.parameter(bias)
+        with ad.Tape() as tape:
+            out = ad.layer_norm(xt, gt, bt)
+        assert len(tape) == 1
+        assert np.array_equal(out.data, composed_layer_norm(x, gain, bias))  # bitwise
+        assert np.array_equal(xt.data, x)
+        check_grad_fd(lambda: ad.tsum(ad.mul(ad.layer_norm(xt, gt, bt), ad.Tensor(mix))),
+                      [xt, gt, bt], max_coords=8, seed=seed % 1000)
+        assert np.array_equal(xt.data, x)
+
+
+class TestGelu:
+    def test_matches_the_cube_form(self):
+        x = np.concatenate([np.linspace(-50.0, 50.0, 100001),
+                            np.random.default_rng(5).normal(scale=3.0, size=100000)])
+        inner = math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)
+        expected = 0.5 * x * (1.0 + np.tanh(inner))
+        slope = (0.5 * (1.0 + np.tanh(inner)) + 0.5 * x * (1.0 - np.tanh(inner) ** 2)
+                 * math.sqrt(2.0 / math.pi) * (1.0 + 3 * 0.044715 * x**2))
+        xt = ad.parameter(x)
+        with ad.Tape() as tape:
+            out = ad.gelu(xt)
+            tape.backward(ad.tsum(out))
+        assert np.abs(out.data - expected).max() <= 1e-15
+        assert np.abs(xt.grad - slope).max() <= 1e-15
 
 
 class TestCrossEntropy:
