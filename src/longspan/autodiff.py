@@ -497,9 +497,10 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor
     ctx = np.matmul(probs, window(padded(v.data))).reshape(n_heads, rows, d_head)[:, :n]
 
     def bwd(g):
-        gb, dbuf = blocks(g), np.zeros_like(buf)
+        gb, dbuf = blocks(g), np.empty_like(buf)
         dprobs = block_view(dbuf)
         np.matmul(gb, window(padded(v.data)).swapaxes(-1, -2), out=dprobs)
+        dbuf[:, b - 1::b, 2 * h + 1:] = 0.0  # the one region the strided product leaves unwritten
         dv = fold(np.matmul(probs.swapaxes(-1, -2), gb))
         _softmax_rows_adjoint(buf, dbuf)  # d(scores)
         dq = np.matmul(dprobs, window(padded(k.data / scale)))
@@ -576,14 +577,7 @@ class GruParams:
                 and wh.shape == (wx.shape[1] // 3, wx.shape[1])):
             raise DimensionError(f"GRU gate blocks wx {wx.shape}, wh {wh.shape}, b {b.shape} "
                                  f"are not [d_in x 3h], [h x 3h], [3h]")
-
-    @property
-    def d_in(self) -> int:
-        return self.wx.shape[0]
-
-    @property
-    def d_h(self) -> int:
-        return self.wh.shape[0]
+        self.d_in, self.d_h = wx.shape[0], wh.shape[0]
 
     def tensors(self) -> tuple[Tensor, ...]:
         return self.wx, self.wh, self.b
@@ -600,78 +594,91 @@ class GruParams:
                    parameter(np.zeros(3 * d_h)))
 
 
-def gru_sequence(x: Tensor, mask: Array, params: GruParams, reverse: bool = False,
-                 h0: Tensor | None = None) -> tuple[Tensor, Tensor]:
-    """GRU over axis 1 of ``x`` [rows x steps x d_in] from ``h0`` [rows x d_h] or zeros, as one op.
+def gru_sequence(x: Tensor, mask: Array, params: GruParams | tuple[GruParams, GruParams],
+                 reverse: bool = False, h0: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    """GRU over axis 1 of ``x`` [rows x steps x d_in] in D = 1 or 2 directions, as one op.
 
-    Steps run left to right, or right to left with ``reverse``.  Where
-    ``mask`` [rows x steps] is False the state passes through unchanged,
-    so each row's final state is its state after its last valid step in
-    running order.  Returns (states [rows x steps x d_h], final
-    [rows x d_h]); the final state is a slice of the states.
+    ``params`` is one GruParams, run left to right (right to left with ``reverse``) from
+    ``h0`` [rows x d_h] or zeros, or a (forward, backward) pair run both ways from zeros.
+    A state passes unchanged through steps where ``mask`` [rows x steps] is False.
+    Returns (states [rows x steps x D*d_h], the directions side by side, and the final
+    states [rows x D*d_h], each direction's after its last step in running order).
 
-    The input side of all three gates, x [Wr|Wz|Wn] + b, is one product
-    over every step before the loop, so a step costs one h [Ur|Uz|Un]
-    product.  Backpropagation through time runs inside the one record,
-    latest step first, and keeps each step's gate adjoints; the input and
-    parameter gradients are then one product each over the stacked steps.
-    This is the one GRU kernel: :func:`gru_cell` is its one-step case.
+    x [Wr|Wz|Wn] + b is one product per direction before the loop.  A right-to-left
+    direction reads it and the mask flipped in time, so one loop steps the [D x rows x d_h]
+    state with one batched h [Ur|Uz|Un] product.  Backpropagation through time runs in the
+    one record; each direction's input and parameter gradients are then the products a
+    one-direction run makes, bit for bit.  :func:`gru_cell` is the one-step case.
     """
-    xd = x.data
-    mask = np.asarray(mask, dtype=bool)
+    dirs = tuple(zip(params, (False, True))) if isinstance(params, tuple) else ((params, reverse),)
+    if len(dirs) == 2 and (reverse or h0 is not None):
+        raise ContractError("gru_sequence runs a (forward, backward) pair from zero states")
+    xd, mask = x.data, np.asarray(mask, dtype=bool)
     if xd.ndim != 3 or mask.shape != xd.shape[:2] or xd.shape[1] < 1:
         raise DimensionError(f"gru_sequence got x {x.shape}, mask {mask.shape}")
-    if xd.shape[2] != params.d_in:
-        raise DimensionError(f"gru_sequence input dim {xd.shape[2]} does not match "
-                             f"params (d_in={params.d_in})")
-    rows, steps, d_in = xd.shape
-    d = params.d_h
+    (rows, steps, d_in), d, n_dirs = xd.shape, dirs[0][0].d_h, len(dirs)
+    if any((p.d_in, p.d_h) != (d_in, d) for p, _ in dirs):
+        raise DimensionError(f"gru_sequence input dim {d_in} does not match params "
+                             f"(d_in, d_h) {[(p.d_in, p.d_h) for p, _ in dirs]}")
     if h0 is not None and h0.shape != (rows, d):
         raise DimensionError(f"gru_sequence got h0 {h0.shape}, expected {(rows, d)}")
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    wx, wh, b = params.wx.data, params.wh.data, params.b.data
-    xw = (xd.reshape(-1, d_in) @ wx + b).reshape(rows, steps, 3 * d)
-    states = np.empty((rows, steps, d))
+
+    order = [slice(None, None, -1 if rev else 1) for _, rev in dirs]  # time <-> running order
+    flat = xd.reshape(-1, d_in)
+    xw, keep = np.empty((n_dirs, rows, steps, 3 * d)), np.empty((n_dirs, rows, steps, 1), bool)
+    for i, (p, _) in enumerate(dirs):
+        np.add((flat @ p.wx.data).reshape(rows, steps, -1)[:, order[i]], p.b.data, out=xw[i])
+        keep[i, :, :, 0] = mask[:, order[i]]
+    wh = np.array([p.wh.data for p, _ in dirs])
+    hs = np.empty((steps + 1, n_dirs, rows, d))  # hs[k]: the state running step k reads
+    hs[0] = 0.0 if h0 is None else h0.data
     caches = []
-    h = np.zeros((rows, d)) if h0 is None else h0.data
-    for j in order:
-        hw = h @ wh
-        rz = _sigmoid(xw[:, j, : 2 * d] + hw[:, : 2 * d])
-        c = hw[:, 2 * d:]
-        n = np.tanh(xw[:, j, 2 * d:] + rz[:, :d] * c)
-        caches.append((h, rz, c, n))
-        h = np.where(mask[:, j : j + 1], n + rz[:, d:] * (h - n), h)
-        states[:, j] = h
+    for k, h in enumerate(hs[:-1]):
+        hw = np.matmul(h, wh)
+        rz = _sigmoid(xw[:, :, k, : 2 * d] + hw[..., : 2 * d])
+        n = np.tanh(xw[:, :, k, 2 * d:] + rz[..., :d] * hw[..., 2 * d:])
+        if _recording():  # what the backward reads; under no_grad nothing is kept
+            caches.append((rz, hw[..., 2 * d:], n))
+        hs[k + 1] = np.where(keep[:, :, k], n + rz[..., d:] * (h - n), h)
+    states = np.empty((rows, steps, n_dirs, d))
+    for i, o in enumerate(order):
+        states[:, :, i] = hs[1:, i].swapaxes(0, 1)[:, o]
 
     def bwd(g):
-        da_x = np.empty((rows, steps, 3 * d))
-        da_h = np.empty((steps, rows, 3 * d))
-        passed = carried = np.zeros((rows, d))
-        for k, j in reversed(list(enumerate(order))):
-            # gradient of the state after step j: its own output, the masked
+        g_run = np.empty((n_dirs, rows, steps, d))
+        for i, o in enumerate(order):
+            g_run[i] = g.reshape(rows, steps, n_dirs, d)[:, o, i]
+        da_x = np.empty((n_dirs, rows, steps, 3 * d))
+        da_h = np.empty((steps, n_dirs, rows, 3 * d))
+        passed = carried = np.zeros((n_dirs, rows, d))
+        for k in range(steps - 1, -1, -1):
+            # gradient of the state after step k: its own output, the masked
             # pass-through to the next step, then the next step's cell input
-            g_state = (g[:, j] + passed) + carried
-            keep = mask[:, j : j + 1]
-            passed = np.where(keep, 0.0, g_state)
-            g_step = np.where(keep, g_state, 0.0)
-            h, rz, c, n = caches[k]
-            dan = g_step * (1.0 - rz[:, d:]) * (1.0 - n * n)
-            da = da_x[:, j]   # adjoints of x [Wr|Wz|Wn] + b; h [Ur|Uz|Un] differs in n
-            da[:, :d] = dan * c
-            da[:, d : 2 * d] = g_step * (h - n)
-            da[:, : 2 * d] *= rz * (1.0 - rz)
-            da[:, 2 * d:] = dan
+            g_state = (g_run[:, :, k] + passed) + carried
+            passed = np.where(keep[:, :, k], 0.0, g_state)
+            g_step = np.where(keep[:, :, k], g_state, 0.0)
+            h, (rz, c, n) = hs[k], caches[k]
+            dan = g_step * (1.0 - rz[..., d:]) * (1.0 - n * n)
+            da = da_x[:, :, k]   # adjoints of x [Wr|Wz|Wn] + b; h [Ur|Uz|Un] differs in n
+            da[..., :d] = dan * c
+            da[..., d : 2 * d] = g_step * (h - n)
+            da[..., : 2 * d] *= rz * (1.0 - rz)
+            da[..., 2 * d:] = dan
             da_h[k] = da
-            da_h[k, :, 2 * d:] = dan * rz[:, :d]
-            carried = g_step * rz[:, d:] + da_h[k] @ wh.T
-        flat_x = da_x.reshape(-1, 3 * d)
-        h_prev = np.stack([cache[0] for cache in caches]).reshape(-1, d)
-        dx = (flat_x @ wx.T).reshape(xd.shape)
-        return (dx, xd.reshape(-1, d_in).T @ flat_x, h_prev.T @ da_h.reshape(-1, 3 * d),
-                flat_x.sum(axis=0)) + (() if h0 is None else (passed + carried,))
+            da_h[k, ..., 2 * d:] = dan * rz[..., :d]
+            carried = g_step * rz[..., d:] + np.matmul(da_h[k], wh.swapaxes(-1, -2))
+        grads = ()  # x, wx, wh, b per direction; x is an input per direction, so the tape sums
+        for i, (p, _) in enumerate(dirs):  # contiguous, so each product is one direction's
+            flat_x, h_prev, flat_h = (np.ascontiguousarray(a).reshape(-1, a.shape[-1])
+                                      for a in (da_x[i][:, order[i]], hs[:-1, i], da_h[:, i]))
+            grads += ((flat_x @ p.wx.data.T).reshape(xd.shape), flat.T @ flat_x,
+                      h_prev.T @ flat_h, flat_x.sum(axis=0))
+        return grads + (() if h0 is None else (passed[0] + carried[0],))
 
-    out = _apply(states, (x,) + params.tensors() + (() if h0 is None else (h0,)), bwd)
-    return out, getitem(out, (slice(None), 0 if reverse else steps - 1))
+    inputs = tuple(t for p, _ in dirs for t in (x,) + p.tensors()) + (() if h0 is None else (h0,))
+    out = _apply(states.reshape(rows, steps, -1), inputs, bwd)
+    last = np.array([0 if rev else steps - 1 for _, rev in dirs]).repeat(d)
+    return out, getitem(out, (slice(None), last, np.arange(n_dirs * d)))
 
 
 def gru_cell(x: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:

@@ -244,17 +244,13 @@ class McsModel:
                     cfg.max_words, doc.n_sentences - len(kept), long_sentences)
         return Document([s[: cfg.max_words] for s in kept], id=doc.id)
 
-    def _bigru_sequence(self, x: Tensor, mask: np.ndarray, prefix: str) -> tuple[Tensor, Tensor, Tensor]:
-        """Bidirectional GRU over axis 1 of ``x`` [rows, steps, d_in].
+    def _bigru_sequence(self, x: Tensor, mask: np.ndarray, prefix: str) -> tuple[Tensor, Tensor]:
+        """Bidirectional GRU over axis 1 of ``x`` [rows, steps, d_in] as one two-direction op.
 
-        Masked steps carry the previous state through, so the forward
-        final state sits at each row's last valid step and the backward
-        final state at its first.  Returns (states [rows, steps, 2*half],
-        final_forward, final_backward).
+        Returns (states [rows, steps, 2*half], forward then backward; final states
+        [rows, 2*half]: forward at each row's last valid step, backward at its first).
         """
-        states_f, final_f = ad.gru_sequence(x, mask, self._gru(f"{prefix}.f"))
-        states_b, final_b = ad.gru_sequence(x, mask, self._gru(f"{prefix}.b"), reverse=True)
-        return ad.concat([states_f, states_b], axis=2), final_f, final_b
+        return ad.gru_sequence(x, mask, (self._gru(f"{prefix}.f"), self._gru(f"{prefix}.b")))
 
     def encode(self, *docs: Document, training: bool = False,
                rng: np.random.Generator | None = None) -> Encoded:
@@ -282,19 +278,16 @@ class McsModel:
         if drop > 0.0 and rng is None:
             raise DomainError("training-mode encode with dropout requires an rng")
         words = ad.getitem(self.params["embed"], id_matrix)  # [S, J, e], then [S, J, hidden]
-        final_f = final_b = None
         for layer in range(cfg.word_layers):
             if layer > 0 and drop > 0.0:
                 words = ad.dropout(words, drop, rng)
-            words, final_f, final_b = self._bigru_sequence(words, mask, f"word.{layer}")
-        reps = ad.concat([final_f, final_b], axis=1)  # [S, hidden]
+            words, reps = self._bigru_sequence(words, mask, f"word.{layer}")  # reps [S, hidden]
 
         seq = ad.getitem(reps, slot_rows)  # [D, N1, hidden]
-        final_sf = final_sb = None
         for layer in range(cfg.sent_layers):
             if layer > 0 and drop > 0.0:
                 seq = ad.dropout(seq, drop, rng)
-            seq, final_sf, final_sb = self._bigru_sequence(seq, sent_mask, f"sent.{layer}")
+            seq, summary = self._bigru_sequence(seq, sent_mask, f"sent.{layer}")
         # (sentence row, word) of each slot's words, slots side by side: [D, N1*J] each
         word_slots = (np.repeat(slot_rows, j_max, axis=1),
                       np.tile(np.arange(j_max), slot_rows.shape))
@@ -302,7 +295,7 @@ class McsModel:
         slot_word_mask[~sent_mask] = np.arange(j_max) == 0
         return Encoded(
             sent_states=ad.getitem(seq, np.nonzero(sent_mask)),
-            summary=ad.concat([final_sf, final_sb], axis=1),
+            summary=summary,
             sent_mask=sent_mask,
             slot_states=seq,
             slot_words=ad.getitem(words, word_slots),

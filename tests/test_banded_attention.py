@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -207,3 +208,40 @@ def test_full_attention_training_peaks_within_five_score_buffers_and_above_the_b
     full = peak_training_bytes(n, window="full")
     assert full < 5 * heads * n * n * 8, full / (heads * n * n * 8)
     assert peak_training_bytes(n, window=32) < full
+
+
+class NanEmpty:
+    """numpy, except that ``empty`` and ``empty_like`` hand out NaN-filled arrays."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+    @staticmethod
+    def empty_like(a, dtype=None):
+        return np.full_like(a, np.nan, dtype=dtype)
+
+
+@pytest.mark.parametrize("heads,n,d,half", [(1, 1, 1, 0), (2, 5, 3, 1), (3, 37, 4, 6),
+                                            (2, 64, 4, 16), (1, 100, 2, 33), (2, 9, 3, 20)])
+def test_band_op_reads_no_unwritten_buffer_slot(monkeypatch, heads, n, d, half):
+    """Every slot of the op's uninitialised buffers is written before it is read: with
+    NaN-filled allocations the outputs and gradients stay finite and bitwise unchanged."""
+    rng = np.random.default_rng(n)
+    arrays = [rng.normal(size=(heads, n, d)) for _ in range(4)]
+
+    def run():
+        qkv = [ad.parameter(x) for x in arrays[:3]]
+        with ad.Tape() as tape:
+            ctx, band = ad.banded_attention(*qkv, half)
+            tape.backward(ad.tsum(ad.mul(ctx, ad.Tensor(arrays[3]))))
+        return [ctx.data, np.array(band)] + [t.grad for t in qkv]
+
+    default = run()
+    monkeypatch.setattr(ad, "np", NanEmpty())
+    for got, want in zip(run(), default):
+        assert np.isfinite(got).all()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from longspan import autodiff as ad
 from longspan import mcs
 from longspan.corpus import Document, Example, Vocab
-from longspan.errors import DimensionError, DomainError
+from longspan.errors import ContractError, DimensionError, DomainError
 
 from test_autodiff import check_grad_fd, finite_diff_grad, rel_err
 
@@ -142,6 +142,58 @@ class TestGruSequence:
                                 h0=ad.Tensor(np.zeros(shape)))
 
 
+@st.composite
+def bigru_problems(draw):
+    rows, steps = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    d_in, d_h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((rows, steps)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    pair = tuple(ad.GruParams(*(ad.parameter(rng.normal(scale=0.6, size=shape))
+                                for shape in [(d_in, 3 * d_h), (d_h, 3 * d_h), (3 * d_h,)]))
+                 for _ in range(2))
+    x = ad.parameter(rng.normal(size=(rows, steps, d_in)))
+    probes = (rng.normal(size=(rows, steps, 2 * d_h)), rng.normal(size=(rows, 2 * d_h)))
+    return x, mask, pair, probes
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestTwoDirections:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=bigru_problems())
+    def test_matches_two_one_direction_calls_bitwise(self, problem):
+        x, mask, (forward, backward), probes = problem
+        tensors = [x, *forward.tensors(), *backward.tensors()]
+
+        def two_calls():
+            states_f, final_f = ad.gru_sequence(x, mask, forward)
+            states_b, final_b = ad.gru_sequence(x, mask, backward, reverse=True)
+            return ad.concat([states_f, states_b], axis=2), ad.concat([final_f, final_b], axis=1)
+
+        results = []
+        for run in (lambda: ad.gru_sequence(x, mask, (forward, backward)), two_calls):
+            with ad.Tape() as tape:
+                states, final = run()
+                tape.backward(probe_loss(states, final, probes))
+            results.append([states.data, final.data] + [t.grad.copy() for t in tensors])
+            tape.zero_grads()
+        for got, want in zip(*results):
+            assert_bitwise(got, want)
+
+    def test_a_pair_runs_from_zero_states_only(self):
+        rng = np.random.default_rng(10)
+        pair = ad.GruParams.init(2, 3, rng), ad.GruParams.init(2, 3, rng)
+        x, mask = ad.Tensor(np.zeros((2, 4, 2))), np.ones((2, 4), bool)
+        with pytest.raises(ContractError):
+            ad.gru_sequence(x, mask, pair, reverse=True)
+        with pytest.raises(ContractError):
+            ad.gru_sequence(x, mask, pair, h0=ad.Tensor(np.zeros((2, 3))))
+        with pytest.raises(DimensionError):
+            ad.gru_sequence(x, mask, (pair[0], ad.GruParams.init(2, 2, rng)))
+
+
 class TestEncodeTape:
     @pytest.mark.parametrize("word_layers,sent_layers", [(1, 1), (2, 2), (1, 3)])
     def test_records_per_encode_do_not_grow_with_the_document(self, word_layers, sent_layers):
@@ -157,10 +209,10 @@ class TestEncodeTape:
             with ad.Tape() as tape:
                 model.encode(doc)
             counts.append(len(tape))
-        # embedding lookup; per BiGRU layer two sequence ops, two final slices and a
-        # concat; the sentence summaries, their gather into document slots and back
-        # out, the document summary's concat and the word states gathered by slot
-        assert counts == [6 + 5 * (word_layers + sent_layers)] * 2
+        # embedding lookup; per BiGRU layer one two-direction sequence op and its
+        # gather of the final states; the sentence summaries' gather into document
+        # slots and back out, and the word states gathered by slot
+        assert counts == [4 + 2 * (word_layers + sent_layers)] * 2
 
 
 # ---------------------------------------------------------------------------
