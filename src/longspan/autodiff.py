@@ -416,25 +416,39 @@ def masked_softmax(logits: Tensor, mask: Array | None) -> Tensor:
     return _apply(out, (logits,), bwd)
 
 
+_DENSE_BLOCK_ROWS = 32
+
+
 def dense_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array | None) -> tuple[Tensor, Tensor]:
     """Scaled dot-product attention of [H x Nq x d] q over [H x Nk x d] k and v, as one op.
 
     ``mask`` broadcasts to [H x Nq x Nk]; ``None`` permits every key.  One buffer holds
     the scores, then in place the probabilities, which the backward reads; returns the
     context [H x Nq x d] and that buffer as a Tensor, which callers must not modify.
+    The backward runs over blocks of 32 query rows through one [H x 32 x Nk] scratch
+    for the blocks' score gradients, so training forms no second [H x Nq x Nk] array.
     """
     if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape or k.shape[::2] != q.shape[::2]:
         raise DimensionError(f"dense_attention got q {q.shape}, k {k.shape}, v {v.shape}")
     blocked = None if mask is None else ~_checked_mask(mask, q.shape[:2] + k.shape[1:2])
+    (n_heads, n_q, _), n_k, b = q.shape, k.shape[1], _DENSE_BLOCK_ROWS
     scale = 1.0 / math.sqrt(q.shape[-1])
     buf = np.matmul(q.data, k.data.swapaxes(-1, -2))
     buf *= scale
     _softmax_rows(buf, blocked)
 
     def bwd(g):
-        ds = _softmax_rows_adjoint(buf, np.matmul(g, v.data.swapaxes(-1, -2)))
-        return (np.matmul(ds, k.data) * scale, np.matmul(ds.swapaxes(-1, -2), q.data) * scale,
-                np.matmul(buf.swapaxes(-1, -2), g))
+        dq, dk, dv = np.empty(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+        scratch = np.empty((n_heads, min(n_q, b), n_k))
+        for i in range(0, n_q, b):
+            rows = slice(i, i + b)
+            probs, g_rows, ds = buf[:, rows], g[:, rows], scratch[:, :min(b, n_q - i)]
+            np.matmul(g_rows, v.data.swapaxes(-1, -2), out=ds)
+            _softmax_rows_adjoint(probs, ds)  # the block's d(scores)
+            np.matmul(ds, k.data, out=dq[:, rows])
+            dk += np.matmul(ds.swapaxes(-1, -2), q.data[:, rows])
+            dv += np.matmul(probs.swapaxes(-1, -2), g_rows)
+        return dq * scale, dk * scale, dv
 
     return _apply(np.matmul(buf, v.data), (q, k, v), bwd), Tensor._wrap(buf)
 

@@ -210,6 +210,14 @@ def test_full_attention_training_peaks_within_five_score_buffers_and_above_the_b
     assert peak_training_bytes(n, window=32) < full
 
 
+def test_full_attention_training_peaks_below_three_and_a_half_score_buffers():
+    """The backward runs in query blocks, so no second [H x N x N] array (the scores'
+    gradient) joins the stored probabilities at the peak."""
+    n, heads = 512, attn.ToyModelConfig().n_heads
+    full = peak_training_bytes(n, window="full")
+    assert full < 3.5 * heads * n * n * 8, full / (heads * n * n * 8)
+
+
 class NanEmpty:
     """numpy, except that ``empty`` and ``empty_like`` hand out NaN-filled arrays."""
 

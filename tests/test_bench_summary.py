@@ -1,6 +1,8 @@
 """The BENCH summarizer (tools/bench_summary.py) on hand-made run results."""
 
+import hashlib
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,26 @@ def test_commands_are_the_benchmark_runs():
     assert bench.command("oracle", 7) == ["python3", "perfbench/run.py", "--workload", "oracle",
                                           "--seed", "7", "--seconds", "30", "--trace", "0"]
     assert len(bench.SEEDS) >= 5
+
+
+def test_revision_names_the_uncommitted_diff_it_measured(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "a.py")
+    git("commit", "-q", "-m", "one")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    (tmp_path / "untracked.txt").write_text("not part of the measured code\n")
+    assert bench.revision(tmp_path) == {"revision": head, "uncommitted_changes": False}
+    (tmp_path / "a.py").write_text("x = 2\n")
+    dirty = bench.revision(tmp_path)
+    diff = subprocess.run(["git", "diff", "--binary", "HEAD"], cwd=tmp_path, check=True,
+                          capture_output=True).stdout
+    assert dirty == {"revision": head, "uncommitted_changes": True,
+                     "diff_sha256": hashlib.sha256(diff).hexdigest()}
+    (tmp_path / "a.py").write_text("x = 3\n")
+    assert bench.revision(tmp_path)["diff_sha256"] != dirty["diff_sha256"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from longspan import attention as attn
 from longspan import autodiff as ad
 from longspan.errors import DegenerateRowError, DimensionError
+from test_banded_attention import NanEmpty
 
 
 def composed_attention(q, k, v, mask):
@@ -38,14 +39,7 @@ def make_mask(kind, nq, nk, rng):
     return mask
 
 
-@settings(max_examples=120, deadline=None)
-@given(op_cases())
-@example((1, 1, 1, 1, "none", 0))
-@example((4, 24, 24, 8, "causal", 1))
-@example((2, 5, 17, 3, "random", 2))
-@example((3, 24, 1, 4, "causal", 3))
-def test_op_matches_the_composed_oracle(case):
-    heads, nq, nk, d, kind, seed = case
+def check_against_the_oracle(heads, nq, nk, d, kind, seed):
     rng = np.random.default_rng(seed)
     data = [rng.normal(size=(heads, n, d)) for n in (nq, nk, nk)]
     mask = make_mask(kind, nq, nk, rng)
@@ -66,6 +60,52 @@ def test_op_matches_the_composed_oracle(case):
     assert np.abs(ctx - ctx_o).max() <= 1e-12
     for name, got, want in zip("qkv", grads, grads_o):
         assert np.abs(got - want).max() <= 1e-12, name
+
+
+@settings(max_examples=120, deadline=None)
+@given(op_cases())
+@example((1, 1, 1, 1, "none", 0))
+@example((4, 24, 24, 8, "causal", 1))
+@example((2, 5, 17, 3, "random", 2))
+@example((3, 24, 1, 4, "causal", 3))
+def test_op_matches_the_composed_oracle(case):
+    check_against_the_oracle(*case)
+
+
+B = ad._DENSE_BLOCK_ROWS  # the backward's query rows per block
+# (H, Nq, Nk, d): Nq spans 3 or more blocks, with and without a tail shorter than a block
+MULTI_BLOCK = [(2, 3 * B + 5, 41, 4), (3, 4 * B, 4 * B - 7, 3), (1, 2 * B + 1, 3 * B + 2, 8),
+               (4, 5 * B - 1, 2, 2)]
+
+
+@pytest.mark.parametrize("kind", ["none", "causal", "random"])
+@pytest.mark.parametrize("shape", MULTI_BLOCK)
+def test_op_matches_the_composed_oracle_over_several_query_blocks(shape, kind):
+    check_against_the_oracle(*shape, kind, seed=sum(shape))
+
+
+@pytest.mark.parametrize("kind", ["none", "causal", "random"])
+@pytest.mark.parametrize("shape", MULTI_BLOCK + [(2, 7, 9, 3)])
+def test_op_reads_no_unwritten_buffer_slot(monkeypatch, shape, kind):
+    """With NaN-filled ``np.empty`` the context, probabilities and gradients stay finite
+    and bitwise equal to the default allocator's: every scratch slot is written first."""
+    heads, nq, nk, d = shape
+    rng = np.random.default_rng(nq)
+    arrays = [rng.normal(size=(heads, n, d)) for n in (nq, nk, nk, nq)]
+    mask = make_mask(kind, nq, nk, rng)
+
+    def run():
+        qkv = [ad.parameter(x) for x in arrays[:3]]
+        with ad.Tape() as tape:
+            ctx, probs = ad.dense_attention(*qkv, mask)
+            tape.backward(ad.tsum(ad.mul(ctx, ad.Tensor(arrays[3]))))
+        return [ctx.data, probs.data] + [t.grad for t in qkv]
+
+    default = run()
+    monkeypatch.setattr(ad, "np", NanEmpty())
+    for got, want in zip(run(), default):
+        assert np.isfinite(got).all()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,13 +9,16 @@ Run from anywhere; it works on the checkout it sits in.  For each workload of
 
 one run at a time, reads the result file that run wrote under ``perfbench/out/``,
 and writes ``BENCH_<n>.json`` at the checkout's root, n one past the highest
-already there.  The file holds the git revision (and whether the working tree
-had uncommitted changes), the exact commands, the environment the runs
-reported, and per workload the median and quartiles of the eight end-to-end
-metrics with ``correct`` and the summed ``failed``.  It refuses, writing
-nothing, when a run ended ``"correct": false`` or the runs' environments differ.
+already there.  The file holds the git revision, whether the working tree had
+uncommitted changes and, if it had, the sha256 of ``git diff --binary HEAD``
+(so a file measured on a dirty tree names the code it measured), the exact
+commands, the environment the runs reported, and per workload the median and
+quartiles of the eight end-to-end metrics with ``correct`` and the summed
+``failed``.  It refuses, writing nothing, when a run ended ``"correct": false``
+or the runs' environments differ.
 """
 
+import hashlib
 import json
 import re
 import subprocess
@@ -73,9 +76,19 @@ def summarize(results: list[dict]) -> dict:
     return {"environment": results[0]["environment"], "workloads": workloads}
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
+def git(root: Path, *args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True).stdout
+
+
+def revision(root: Path) -> dict:
+    """HEAD, whether tracked files differ from it and, if they do, the sha256 of
+    ``git diff --binary HEAD``: the change on top of HEAD that was measured."""
+    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no").strip())
+    record = {"revision": git(root, "rev-parse", "HEAD").decode().strip(),
+              "uncommitted_changes": dirty}
+    if dirty:
+        record["diff_sha256"] = hashlib.sha256(git(root, "diff", "--binary", "HEAD")).hexdigest()
+    return record
 
 
 def next_path(root: Path) -> Path:
@@ -85,8 +98,7 @@ def next_path(root: Path) -> Path:
 
 
 def main() -> int:
-    revision = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    measured = revision(ROOT)
     commands, results = [], []
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -98,8 +110,7 @@ def main() -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
     path = next_path(ROOT)
-    record = {"revision": revision, "uncommitted_changes": dirty, "commands": commands,
-              **summary}
+    record = {**measured, "commands": commands, **summary}
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(path)
     return 0
