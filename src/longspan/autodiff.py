@@ -201,10 +201,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def neg(a: Tensor) -> Tensor:
-    return _apply(-a.data, (a,), lambda g: (-g,))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return _apply(out, (a,), lambda g: (g * (1.0 - out * out),))
@@ -408,12 +404,8 @@ def masked_softmax(logits: Tensor, mask: Array | None) -> Tensor:
     blocked = None if mask is None else ~_checked_mask(mask, logits.shape)
     out = np.array(logits.data)
     _softmax_rows(out, blocked)
-
-    def bwd(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
-
-    return _apply(out, (logits,), bwd)
+    # a copy: an op such as ``add`` may hand this same array to another input
+    return _apply(out, (logits,), lambda g: (_softmax_rows_adjoint(out, g.copy()),))
 
 
 _DENSE_BLOCK_ROWS = 32
@@ -535,33 +527,40 @@ def band_to_dense(band: Array) -> Tensor:
     return Tensor._wrap(dense[:, :-1].reshape(n_heads, n, n))
 
 
-def log_softmax(logits: Tensor) -> Tensor:
-    x = logits.data
-    m = x.max(axis=-1, keepdims=True)
-    shifted = x - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
+def log_softmax(x: Array) -> Array:
+    """Row log-softmax of a 2-D array as (x - max) - log1p(sum of the other exps), no tape op.
 
-    def bwd(g):
-        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
-
-    return _apply(out, (logits,), bwd)
+    One max entry per row leaves the sum (ties stay in), so a confident row keeps its
+    relative precision (Blanchard, Higham & Higham 2019, arXiv:1909.03469).
+    """
+    rows, top = np.arange(x.shape[0]), x.argmax(axis=-1)
+    shifted = x - x[rows, top][:, None]
+    e = np.exp(shifted)
+    e[rows, top] = 0.0
+    return np.subtract(shifted, np.log1p(e.sum(axis=-1, keepdims=True)), out=shifted)
 
 
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
-    """Summed negative log-likelihood of ``targets`` under row-wise logits."""
+    """Summed negative log-likelihood of ``targets`` under row-wise logits, as one op."""
     targets = np.asarray(targets, dtype=np.intp)
     if logits.ndim != 2:
         raise DimensionError(f"cross_entropy_logits expects [steps x vocab], got {logits.shape}")
     if targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
-        raise DimensionError(
-            f"targets shape {targets.shape} does not match logits rows {logits.shape[0]}"
-        )
+        raise DimensionError(f"targets shape {targets.shape} does not match "
+                             f"logits rows {logits.shape[0]}")
     if targets.min(initial=0) < 0 or targets.max(initial=-1) >= logits.shape[1]:
         raise DomainError("target id outside vocabulary")
-    ls = log_softmax(logits)
-    picked = getitem(ls, (np.arange(targets.shape[0]), targets))
-    return neg(tsum(picked))
+    logp = log_softmax(logits.data)
+    rows = np.arange(targets.shape[0])
+    picked = logp[rows, targets]
+
+    def bwd(g):  # g * (softmax - one-hot), a target's p - 1 as expm1 of its log-probability
+        grad = np.array(logits.data)
+        _softmax_rows(grad, None)  # e^(x - max) / sum: exp(logp) would carry logp's rounding
+        grad[rows, targets] = np.expm1(picked)
+        return (grad * g,)
+
+    return _apply(np.asarray(-picked.sum()), (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -480,7 +480,7 @@ class McsModel:
             prev = tokens[..., -1] if step else np.full((n_docs, width), Vocab.BOS)
             state, logits, alpha = self._decode_step(prev.ravel(), state, memory)
             mass = mass + alpha.data.reshape(mass.shape)
-            logp = ad.log_softmax(logits).data.reshape(n_docs, width, -1)
+            logp = ad.log_softmax(logits.data).reshape(n_docs, width, -1)
             if step + 1 < min_len:
                 logp[..., Vocab.EOS] = -np.inf
             n = no_repeat_ngram

@@ -190,6 +190,25 @@ class TestMaskedSoftmax:
         assert np.array_equal(out_none, out_all)
         assert np.array_equal(grad_none, grad_all)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradient_through_add_leaves_the_other_input_intact(self, masked):
+        """``add`` hands one gradient array to both of its inputs, so the softmax
+        adjoint must not write into it: q's gradient and the logits' match the oracle."""
+        rng = np.random.default_rng(17)
+        logits, other, mix = rng.normal(size=(3, 4, 6))
+        mask = None
+        if masked:
+            mask = rng.random((4, 6)) < 0.6
+            mask[:, 0] = True
+        x, q = ad.parameter(logits), ad.parameter(other)
+        with ad.Tape() as tape:
+            p = ad.masked_softmax(x, mask)
+            tape.backward(ad.tsum(ad.mul(ad.add(p, q), ad.Tensor(mix))))
+        probs = p.data  # oracle: d(p . mix)/dx = p * (mix - sum(p * mix))
+        assert np.array_equal(q.grad, mix)
+        np.testing.assert_allclose(
+            x.grad, probs * (mix - (probs * mix).sum(axis=-1, keepdims=True)), rtol=1e-12, atol=1e-15)
+
 
 def gru_blocks(wx_shape, wh_shape, b_shape):
     """GruParams from zero gate blocks of the given shapes."""
@@ -390,7 +409,6 @@ class TestPerOpGradients:
         "gelu": lambda a, b: ad.tsum(ad.gelu(a)),
         "layer_norm": lambda a, b: ad.tsum(ad.mul(ad.layer_norm(a, ad.getitem(b, 0), ad.getitem(b, 1)), b)),
         "softmax": lambda a, b: ad.tsum(ad.mul(ad.masked_softmax(a, None), b)),
-        "log_softmax": lambda a, b: ad.tsum(ad.mul(ad.log_softmax(a), b)),
         "reshape": lambda a, b: ad.tsum(ad.mul(ad.reshape(a, (a.data.size,)), ad.reshape(b, (b.data.size,)))),
         "transpose": lambda a, b: ad.tsum(ad.mul(ad.transpose(a), ad.transpose(b))),
         "getitem": lambda a, b: ad.tsum(ad.getitem(a, (slice(1, 3), slice(0, 2)))),
@@ -490,6 +508,52 @@ class TestCrossEntropy:
         logits = ad.parameter(rng.normal(size=(3, 6)))
         targets = np.array([1, 4, 0])
         check_grad_fd(lambda: ad.cross_entropy_logits(logits, targets), [logits], max_coords=8)
+
+    def test_records_one_tape_entry(self):
+        logits = ad.parameter(np.random.default_rng(32).normal(size=(4, 6)))
+        with ad.Tape() as tape:
+            ad.cross_entropy_logits(logits, [0, 5, 2, 2])
+        assert len(tape) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 6), vocab=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 30.0, 400.0]), ties=st.integers(0, 3),
+           target_at_a_tie=st.booleans())
+    def test_matches_high_precision_oracle(self, rows, vocab, seed, scale, ties, target_at_a_tie):
+        """Loss and gradient (softmax - one-hot) within a few ulps of mpmath's, relative,
+        widened only by what the rounding of x - max moves them: p |log p| in each
+        probability a value sums, and each row's entropy through its normalizer.  Rows
+        may tie at their max, and a target may be the tie that is not the argmax."""
+        import mpmath
+
+        mpmath.mp.dps = 60
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-scale, scale, size=(rows, vocab))
+        for row in x:
+            row[rng.permutation(vocab)[:ties]] = row.max()
+        targets = rng.integers(0, vocab, size=rows)
+        if target_at_a_tie:  # the last max entry, where argmax takes the first
+            targets = vocab - 1 - x[:, ::-1].argmax(axis=1)
+        logits = ad.parameter(x)
+        with ad.Tape() as tape:
+            loss = ad.cross_entropy_logits(logits, targets)
+            tape.backward(loss)
+        eps, exact_loss, entropies = 2.0**-52, mpmath.mpf(0), mpmath.mpf(0)
+        for i, (row, t) in enumerate(zip(x.tolist(), targets.tolist())):
+            top = max(range(vocab), key=row.__getitem__)
+            exps = [mpmath.exp(mpmath.mpf(v) - row[top]) for v in row]
+            total = mpmath.fsum(exps)
+            others = [mpmath.fsum(exps[:k] + exps[k + 1:]) for k in (top, t)]  # no cancellation
+            exact_loss += row[top] - mpmath.mpf(row[t]) + mpmath.log1p(others[0])
+            probs = [e / total for e in exps]
+            spread = [p * abs(mpmath.log(p)) for p in probs]  # p |log p| >= p |x - max|
+            entropy = mpmath.fsum(spread)
+            entropies += entropy
+            for j in range(vocab):
+                want = -others[1] / total if j == t else probs[j]  # p_t - 1 = -(sum of the rest)
+                cond = abs(want) * (1 + entropy) + (entropy if j == t else spread[j])
+                assert abs(logits.grad[i, j] - want) <= 8 * eps * cond + np.finfo(float).tiny, (i, j)
+        assert abs(loss.item() - exact_loss) <= (4 + rows) * eps * (exact_loss + entropies)
 
 
 class TestThreadConfinement:

@@ -395,7 +395,7 @@ def per_document_beam(model, enc, width=4, length_penalty=2.0, min_len=1, max_le
         state, logits, alpha = model._decode_step(prev, state, memory)
         attn_steps.append(alpha.data)
         parent_steps.append(np.array([hyp.row for hyp in live]))
-        logp = ad.log_softmax(logits).data
+        logp = ad.log_softmax(logits.data)
         if step + 1 < min_len:
             logp[:, Vocab.EOS] = -np.inf
         for row, hyp in enumerate(live):
