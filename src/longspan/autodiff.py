@@ -367,16 +367,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _checked_mask(mask, shape: tuple[int, ...]) -> Array:
-    """``mask`` as bools; it must broadcast to ``shape`` and permit an entry in every row."""
+def blocked_entries(mask, shape: tuple[int, ...] | None = None) -> Array:
+    """The entries ``mask`` blocks, as bools; ``mask`` must broadcast to ``shape`` (its own
+    by default) and permit an entry in every row."""
     mask = np.asarray(mask, dtype=bool)
+    shape = mask.shape if shape is None else shape
     if mask.ndim > len(shape) or any(m not in (1, s) for m, s in zip(mask.shape[::-1], shape[::-1])):
         raise DimensionError(f"mask {mask.shape} does not broadcast to {shape}")
     ok = mask.any(axis=-1)  # broadcasting only repeats the mask's rows
     if not ok.all():
         bad = np.argwhere(~ok)[0]
         raise DegenerateRowError(f"softmax row {tuple(int(i) for i in bad)} has no permitted entry")
-    return mask
+    return ~mask
 
 
 def _softmax_rows(buf: Array, blocked: Array | None) -> None:
@@ -401,7 +403,7 @@ def masked_softmax(logits: Tensor, mask: Array | None) -> Tensor:
     to 1.  Stabilized by subtracting the row max over permitted entries.
     ``mask=None`` permits every entry; a mask must broadcast to the logits.
     """
-    blocked = None if mask is None else ~_checked_mask(mask, logits.shape)
+    blocked = None if mask is None else blocked_entries(mask, logits.shape)
     out = np.array(logits.data)
     _softmax_rows(out, blocked)
     # a copy: an op such as ``add`` may hand this same array to another input
@@ -422,7 +424,7 @@ def dense_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array | None) -> tupl
     """
     if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape or k.shape[::2] != q.shape[::2]:
         raise DimensionError(f"dense_attention got q {q.shape}, k {k.shape}, v {v.shape}")
-    blocked = None if mask is None else ~_checked_mask(mask, q.shape[:2] + k.shape[1:2])
+    blocked = None if mask is None else blocked_entries(mask, q.shape[:2] + k.shape[1:2])
     (n_heads, n_q, _), n_k, b = q.shape, k.shape[1], _DENSE_BLOCK_ROWS
     scale = 1.0 / math.sqrt(q.shape[-1])
     buf = np.matmul(q.data, k.data.swapaxes(-1, -2))
@@ -443,6 +445,50 @@ def dense_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array | None) -> tupl
         return dq * scale, dk * scale, dv
 
     return _apply(np.matmul(buf, v.data), (q, k, v), bwd), Tensor._wrap(buf)
+
+
+def hierarchical_readout(state: Tensor, sent_keys: Tensor, word_keys: Tensor, words: Tensor,
+                         blocked: tuple[Array, Array], comb: tuple[Tensor, Tensor],
+                         out: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+    """Vocabulary logits [D x T x V] of decoder states [D x T x h] through sentence and
+    word attention (Nallapati et al. 2016, arXiv:1602.06023), as one op.
+
+    Row d reads document d's sentence keys [D x N1 x h] and word keys and states
+    [D x N1*J x h]; the slots in ``blocked`` ([D x 1 x N1] and [D x 1 x N1 x J], each row
+    checked by :func:`blocked_entries`) get weight 0.  With comb = (Wc, bc), out = (Wo, bo),
+    alpha = softmax over n of state . sent_keys[n], beta = softmax over j of state .
+    word_keys[n, j] and logits = tanh([state | sum alpha[n] beta[n, j] words[n, j]] Wc^T
+    + bc) Wo^T + bo.  Returns the logits and alpha [D x T x N1], a Tensor outside the graph
+    that callers must not modify.  The backward is the composed ops' chain rule, bit for bit.
+    """
+    (w_c, b_c), (w_o, b_o), sd = comb, out, state.data
+    (d, t, h), (n1, j) = sd.shape, blocked[1].shape[-2:]
+    alpha = np.matmul(sd, sent_keys.data.swapaxes(-1, -2))
+    _softmax_rows(alpha, blocked[0])
+    beta = np.matmul(sd, word_keys.data.swapaxes(-1, -2)).reshape(d, t, n1, j)
+    _softmax_rows(beta, blocked[1])
+    weights = (alpha[..., None] * beta).reshape(d, t, n1 * j)
+    joined = np.concatenate([sd, np.matmul(weights, words.data)], axis=2)
+    feat = np.tanh(np.matmul(joined, w_c.data.T) + b_c.data)
+
+    def outer(x, g):  # W's gradient in x W^T: one product over every (d, t) row
+        return (x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])).T
+
+    def bwd(g):
+        g_feat = np.matmul(g, w_o.data) * (1.0 - feat * feat)
+        g_joined, state_t = np.matmul(g_feat, w_c.data), sd.swapaxes(-1, -2)
+        g_weights = np.matmul(g_joined[..., h:], words.data.swapaxes(-1, -2)).reshape(beta.shape)
+        g_alpha = _softmax_rows_adjoint(alpha, (g_weights * beta).sum(axis=-1))
+        g_beta = _softmax_rows_adjoint(beta, g_weights * alpha[..., None]).reshape(d, t, -1)
+        g_state = g_joined[..., :h] + np.matmul(g_beta, word_keys.data)
+        g_state += np.matmul(g_alpha, sent_keys.data)
+        return (g_state, np.matmul(state_t, g_alpha).swapaxes(-1, -2),
+                np.matmul(state_t, g_beta).swapaxes(-1, -2),
+                np.matmul(weights.swapaxes(-1, -2), g_joined[..., h:]), outer(joined, g_feat),
+                g_feat.sum(axis=(0, 1)), outer(feat, g), g.sum(axis=(0, 1)))
+
+    inputs = (state, sent_keys, word_keys, words, w_c, b_c, w_o, b_o)
+    return _apply(np.matmul(feat, w_o.data.T) + b_o.data, inputs, bwd), Tensor._wrap(alpha)
 
 
 def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor, Array]:
@@ -642,7 +688,7 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams | tuple[GruParams, Gr
     for i, (p, _) in enumerate(dirs):
         np.add((flat @ p.wx.data).reshape(rows, steps, -1)[:, order[i]], p.b.data, out=xw[i])
         keep[i, :, :, 0] = mask[:, order[i]]
-    wh = np.array([p.wh.data for p, _ in dirs])
+    wh = dirs[0][0].wh.data[None] if n_dirs == 1 else np.array([p.wh.data for p, _ in dirs])
     hs = np.empty((steps + 1, n_dirs, rows, d))  # hs[k]: the state running step k reads
     hs[0] = 0.0 if h0 is None else h0.data
     caches = []
@@ -653,9 +699,8 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams | tuple[GruParams, Gr
         if _recording():  # what the backward reads; under no_grad nothing is kept
             caches.append((rz, hw[..., 2 * d:], n))
         hs[k + 1] = np.where(keep[:, :, k], n + rz[..., d:] * (h - n), h)
-    states = np.empty((rows, steps, n_dirs, d))
-    for i, o in enumerate(order):
-        states[:, :, i] = hs[1:, i].swapaxes(0, 1)[:, o]
+    runs = [hs[1:, i].swapaxes(0, 1)[:, o] for i, o in enumerate(order)]  # views of hs
+    states = np.ascontiguousarray(runs[0]) if n_dirs == 1 else np.concatenate(runs, axis=2)
 
     def bwd(g):
         g_run = np.empty((n_dirs, rows, steps, d))
@@ -689,7 +734,9 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams | tuple[GruParams, Gr
         return grads + (() if h0 is None else (passed[0] + carried[0],))
 
     inputs = tuple(t for p, _ in dirs for t in (x,) + p.tensors()) + (() if h0 is None else (h0,))
-    out = _apply(states.reshape(rows, steps, -1), inputs, bwd)
+    out = _apply(states, inputs, bwd)
+    if steps == 1:  # the one step's states are every direction's final ones
+        return out, reshape(out, (rows, -1))
     last = np.array([0 if rev else steps - 1 for _, rev in dirs]).repeat(d)
     return out, getitem(out, (slice(None), last, np.arange(n_dirs * d)))
 

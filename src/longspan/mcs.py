@@ -98,13 +98,10 @@ class Encoded:
 class DecoderMemory:
     """What every decoder step reads: document projections and the recurrence (h = hidden)."""
 
-    sent_keys: Tensor          # [D, h, N1]: sentence scores are state @ sent_keys
-    word_keys: Tensor          # [D, h, N1*J]: word scores are state @ word_keys
+    sent_keys: Tensor          # [D, N1, h]: a sentence's score is state . its key
+    word_keys: Tensor          # [D, N1*J, h]: a word's score is state . its key
     words: Tensor              # [D, N1*J, h] word states, one row per (slot, word)
-    sent_mask: np.ndarray      # [D, 1, N1] bool
-    word_mask: np.ndarray      # [D, 1, N1, J] bool
-    comb_w: Tensor             # [2h, h]
-    out_w: Tensor              # [h, V]
+    blocked: tuple[np.ndarray, np.ndarray]  # [D, 1, N1] and [D, 1, N1, J]: slots of weight 0
     gru: GruParams             # the decoder's recurrence
 
 
@@ -313,16 +310,16 @@ class McsModel:
         return ad.sigmoid(self.classifier_logits(sent_states))
 
     def _decoder_start(self, enc: Encoded) -> tuple[Tensor, DecoderMemory]:
-        """Initial states [D, h] and the projections every decode step of each document reads."""
+        """Initial states [D, h] and the projections every decode step of each document reads.
+
+        The masks are checked here, once: every document and sentence slot permits an entry."""
         p = self.params
         memory = DecoderMemory(
-            sent_keys=ad.transpose(ad.matmul(enc.slot_states, p["dec.att_sent.w"]), (0, 2, 1)),
-            word_keys=ad.transpose(ad.matmul(enc.slot_words, p["dec.att_word.w"]), (0, 2, 1)),
+            sent_keys=ad.matmul(enc.slot_states, p["dec.att_sent.w"]),
+            word_keys=ad.matmul(enc.slot_words, p["dec.att_word.w"]),
             words=enc.slot_words,
-            sent_mask=enc.sent_mask[:, None],
-            word_mask=enc.slot_word_mask[:, None],
-            comb_w=ad.transpose(p["dec.comb.w"]),
-            out_w=ad.transpose(p["dec.out.w"]),
+            blocked=(ad.blocked_entries(enc.sent_mask[:, None]),
+                     ad.blocked_entries(enc.slot_word_mask[:, None])),
             gru=self._gru("dec.gru"),
         )
         state = ad.matmul(enc.summary, ad.transpose(p["dec.init.w"]))
@@ -339,24 +336,16 @@ class McsModel:
         emb = ad.getitem(self.params["embed"], np.asarray(prev_ids, dtype=np.intp))  # [D*B, e]
         state = ad.gru_cell(emb, state, memory.gru)
         rows, h = state.shape
-        logits, alpha = self._readout(ad.reshape(state, (len(memory.sent_mask), -1, h)), memory)
+        logits, alpha = self._readout(ad.reshape(state, (memory.words.shape[0], -1, h)), memory)
         return state, ad.reshape(logits, (rows, -1)), ad.reshape(alpha, (rows, -1))
 
     def _readout(self, state: Tensor, memory: DecoderMemory) -> tuple[Tensor, Tensor]:
         """Vocabulary logits [D, T, V] and sentence attention [D, T, N1] of decoder states
-        [D, T, h]; row d reads document d's memory."""
+        [D, T, h]; row d reads document d's memory (:func:`autodiff.hierarchical_readout`)."""
         p = self.params
-        n1, j_max = memory.word_mask.shape[2:]
-        d, t, _ = state.shape
-        alpha = ad.masked_softmax(ad.matmul(state, memory.sent_keys), memory.sent_mask)
-        word_scores = ad.reshape(ad.matmul(state, memory.word_keys), (d, t, n1, j_max))
-        beta = ad.masked_softmax(word_scores, memory.word_mask)          # per-sentence rows
-        weights = ad.mul(ad.reshape(alpha, (d, t, n1, 1)), beta)
-        context = ad.matmul(ad.reshape(weights, (d, t, n1 * j_max)), memory.words)  # [D, T, h]
-        feat = ad.tanh(ad.add(ad.matmul(ad.concat([state, context], axis=2), memory.comb_w),
-                              p["dec.comb.b"]))
-        logits = ad.add(ad.matmul(feat, memory.out_w), p["dec.out.b"])
-        return logits, alpha
+        return ad.hierarchical_readout(state, memory.sent_keys, memory.word_keys, memory.words,
+                                       memory.blocked, (p["dec.comb.w"], p["dec.comb.b"]),
+                                       (p["dec.out.w"], p["dec.out.b"]))
 
     def _teacher_forced(self, enc: Encoded, targets: Sequence[list[int]]) -> Tensor:
         """Logits [target tokens, V] of each target token after the ones before it, documents
@@ -466,8 +455,9 @@ class McsModel:
         max_len = self.config.max_target if max_len is None else int(max_len)
         start, memory = self._decoder_start(enc)
         n_docs, n1 = enc.sent_mask.shape
-        docs = np.arange(n_docs)[:, None]
-        state = ad.getitem(start, docs.repeat(width))
+        docs, slots = np.arange(n_docs)[:, None], np.arange(width)
+        ranks = min(width + 1, self.config.vocab_size)   # candidates per row
+        state = Tensor(start.data.repeat(width, axis=0))   # [documents * width, h]
         tokens = np.zeros((n_docs, width, 0), dtype=np.intp)
         logprob = np.full((n_docs, width), -np.inf)
         logprob[:, 0] = 0.0
@@ -485,17 +475,26 @@ class McsModel:
                 logp[..., Vocab.EOS] = -np.inf
             n = no_repeat_ngram
             if 1 <= n <= step:   # each earlier n-gram whose first n - 1 tokens end the row
-                grams = np.lib.stride_tricks.sliding_window_view(tokens, n, axis=2)
-                d, w, i = np.nonzero((grams[..., :-1] == tokens[..., None, step - n + 1:]).all(-1))
-                logp[d, w, grams[d, w, i, -1]] = -np.inf
-            order = np.argsort(-logp, axis=2, kind="stable")[..., : width + 1]
-            ranks = order.shape[2]     # width + 1, or fewer in a smaller vocabulary
+                starts = step - n + 1   # the n-grams' start positions, 0 .. starts - 1
+                hit = np.ones((n_docs, width, starts), dtype=bool)
+                for k in range(n - 1):
+                    hit &= tokens[..., k : starts + k] == tokens[..., starts + k, None]
+                d, w, i = np.nonzero(hit)
+                logp[d, w, tokens[d, w, i + n - 1]] = -np.inf
+            # each row's best tokens, one argmax a rank, ties to the lower id; a taken token
+            # becomes -inf, as NaN does, and every -inf candidate is dropped below
+            rest = np.fmax(logp, -np.inf)
+            order = np.empty((n_docs, width, ranks), dtype=np.intp)
+            picked = np.empty(order.shape)
+            for rank in range(ranks):
+                order[..., rank] = top = rest.argmax(axis=2)
+                picked[..., rank] = rest[docs, slots, top]
+                rest[docs, slots, top] = -np.inf
             # per document, candidates read row-major (row, then rank), then by total
-            totals = logprob[..., None] + np.take_along_axis(logp, order, axis=2)
-            totals = totals.reshape(n_docs, -1)
+            totals = (logprob[..., None] + picked).reshape(n_docs, -1)
             by_total = np.argsort(-totals, axis=1, kind="stable")   # dropped ones sort last
-            totals = np.take_along_axis(totals, by_total, axis=1)
-            next_tokens = np.take_along_axis(order.reshape(n_docs, -1), by_total, axis=1)
+            totals = totals[docs, by_total]
+            next_tokens = order.reshape(n_docs, -1)[docs, by_total]
             parents = by_total // ranks
             ends = (next_tokens == Vocab.EOS) & np.isfinite(totals)
             grows = (next_tokens != Vocab.EOS) & np.isfinite(totals)
@@ -510,15 +509,12 @@ class McsModel:
                     best[d] = _Hypothesis(tokens[d, row].tolist() + [Vocab.EOS],
                                           float(totals[d, k]), mass[d, row])
             front = np.argsort(~grows, axis=1, kind="stable")[:, :width]   # survivors first
-            rows = np.take_along_axis(parents, front, axis=1)
-            tokens = np.concatenate(
-                [tokens[docs, rows], np.take_along_axis(next_tokens, front, axis=1)[..., None]],
-                axis=2)
-            logprob = np.where(np.take_along_axis(grows, front, axis=1),
-                               np.take_along_axis(totals, front, axis=1), -np.inf)
+            rows = parents[docs, front]
+            tokens = np.concatenate([tokens[docs, rows], next_tokens[docs, front, None]], axis=2)
+            logprob = np.where(grows[docs, front], totals[docs, front], -np.inf)
             if not np.isfinite(logprob).any():
                 break
-            state = ad.getitem(state, (docs * width + rows).ravel())
+            state = Tensor(state.data[(docs * width + rows).ravel()])
             mass = mass[docs, rows]
 
         scores = logprob / max(tokens.shape[2], 1) ** length_penalty
