@@ -40,10 +40,6 @@ class Document:
     def n_sentences(self) -> int:
         return len(self.sentences)
 
-    @property
-    def total_words(self) -> int:
-        return sum(len(s) for s in self.sentences)
-
 
 @dataclass
 class Example:

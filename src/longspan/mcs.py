@@ -80,13 +80,12 @@ class McsConfig:
 
 @dataclass
 class Encoded:
-    """Encoder outputs for D documents of S sentences in all, in document order.
+    """Encoder outputs for D documents, each in N1 sentence slots of J words.
 
-    Each document has N1 sentence slots of J words; slots past its own
-    sentence count are empty, and their word states repeat sentence 0's.
+    Slots past a document's own sentence count are empty; their word
+    states are zero.
     """
 
-    sent_states: Tensor        # [S, hidden]
     summary: Tensor            # [D, hidden]
     sent_mask: np.ndarray      # [D, N1] bool: the slot holds a sentence
     slot_states: Tensor        # [D, N1, hidden] sentence states by slot
@@ -253,49 +252,46 @@ class McsModel:
                rng: np.random.Generator | None = None) -> Encoded:
         """Word-level then sentence-level bidirectional encoding of one or more documents.
 
-        The word GRU takes every sentence of every document as its rows;
-        the sentence GRU runs over [documents, slots] with each document's
-        own sentence count as its mask.  Documents beyond the configured
-        sentence/word limits are clipped with a warning (:meth:`_clip`).
+        The documents fill one [D, N1, J] id matrix of sentence slots.  The
+        word GRU takes its D*N1 slots as rows, where an empty slot's row is
+        all masked and stays zero; the sentence GRU runs over [documents,
+        slots] with each document's own sentence count as its mask.
+        Documents beyond the configured sentence/word limits are clipped
+        with a warning (:meth:`_clip`).
         """
         cfg = self.config
-        ids = [[self.vocab.encode(s) for s in self._clip(doc).sentences] for doc in docs]
-        counts = np.array([len(doc_ids) for doc_ids in ids])
-        sentences = [sent for doc_ids in ids for sent in doc_ids]
-        lengths = np.array([len(sent) for sent in sentences])
-        mask = np.arange(lengths.max()) < lengths[:, None]
-        id_matrix = np.full(mask.shape, Vocab.PAD, dtype=np.intp)
-        id_matrix[mask] = np.concatenate(sentences)
-        j_max = mask.shape[1]
-        sent_mask = np.arange(counts.max()) < counts[:, None]
-        slot_rows = np.zeros(sent_mask.shape, dtype=np.intp)   # empty slots read row 0
-        slot_rows[sent_mask] = np.arange(len(sentences))
+        clipped = [self._clip(doc).sentences for doc in docs]
+        lengths = np.zeros((len(docs), max(map(len, clipped))), dtype=np.intp)  # 0: empty slot
+        for row, sentences in zip(lengths, clipped):
+            row[: len(sentences)] = [len(sentence) for sentence in sentences]
+        word_mask = np.arange(lengths.max()) < lengths[..., None]   # [D, N1, J]
+        ids = np.full(word_mask.shape, Vocab.PAD, dtype=np.intp)
+        ids[word_mask] = self.vocab.encode([w for doc in clipped for s in doc for w in s])
+        n_docs, n1, j_max = ids.shape
+        sent_mask = lengths > 0
 
         drop = cfg.dropout if training else 0.0
         if drop > 0.0 and rng is None:
             raise DomainError("training-mode encode with dropout requires an rng")
-        words = ad.getitem(self.params["embed"], id_matrix)  # [S, J, e], then [S, J, hidden]
+        words = ad.getitem(self.params["embed"], ids.reshape(-1, j_max))  # [D*N1, J, e]
         for layer in range(cfg.word_layers):
             if layer > 0 and drop > 0.0:
                 words = ad.dropout(words, drop, rng)
-            words, reps = self._bigru_sequence(words, mask, f"word.{layer}")  # reps [S, hidden]
+            words, reps = self._bigru_sequence(words, word_mask.reshape(-1, j_max),
+                                               f"word.{layer}")  # reps [D*N1, hidden]
 
-        seq = ad.getitem(reps, slot_rows)  # [D, N1, hidden]
+        seq = ad.reshape(reps, (n_docs, n1, -1))
         for layer in range(cfg.sent_layers):
             if layer > 0 and drop > 0.0:
                 seq = ad.dropout(seq, drop, rng)
             seq, summary = self._bigru_sequence(seq, sent_mask, f"sent.{layer}")
-        # (sentence row, word) of each slot's words, slots side by side: [D, N1*J] each
-        word_slots = (np.repeat(slot_rows, j_max, axis=1),
-                      np.tile(np.arange(j_max), slot_rows.shape))
-        slot_word_mask = mask[slot_rows]
-        slot_word_mask[~sent_mask] = np.arange(j_max) == 0
+        slot_word_mask = word_mask.copy()
+        slot_word_mask[~sent_mask, 0] = True
         return Encoded(
-            sent_states=ad.getitem(seq, np.nonzero(sent_mask)),
             summary=summary,
             sent_mask=sent_mask,
             slot_states=seq,
-            slot_words=ad.getitem(words, word_slots),
+            slot_words=ad.reshape(words, (n_docs, n1 * j_max, -1)),
             slot_word_mask=slot_word_mask,
         )
 
@@ -390,7 +386,7 @@ class McsModel:
             # a cast would turn 0.5 into 0 and NaN into some integer
             if not np.isin(doc_labels, (0, 1)).all():
                 raise InputError("labels must each be 0 or 1")
-        logit = self.classifier_logits(enc.sent_states)
+        logit = ad.getitem(self.classifier_logits(enc.slot_states), np.nonzero(enc.sent_mask))
         rows = ad.concat([Tensor(np.zeros((logit.shape[0], 1))),
                           ad.reshape(logit, (-1, 1))], axis=1)
         return ad.cross_entropy_logits(rows, np.concatenate(labels).astype(np.intp))
@@ -540,14 +536,13 @@ class McsModel:
             return []
         with ad.no_grad():
             enc = self.encode(*docs)
-            z_hat = self.classifier_scores(enc.sent_states).data
+            z_hat = self.classifier_scores(enc.slot_states).data   # [D, N1]
             beams = self._beam_from_encoded(enc)
         scores = []
-        bounds = np.cumsum(enc.sent_mask.sum(axis=1))[:-1]
-        for doc, doc_z, beam in zip(docs, np.split(z_hat, bounds), beams):
-            tail = np.zeros(doc.n_sentences - len(doc_z))
-            attn_mass = np.concatenate([beam.mass[: len(doc_z)], tail])
-            doc_z = np.concatenate([doc_z, tail])
+        for doc, doc_z, count, beam in zip(docs, z_hat, enc.sent_mask.sum(axis=1), beams):
+            tail = np.zeros(doc.n_sentences - count)
+            attn_mass = np.concatenate([beam.mass[:count], tail])
+            doc_z = np.concatenate([doc_z[:count], tail])
             scores.append(McsScores(doc_z, attn_mass,
                                     rank_normalize(doc_z) + rank_normalize(attn_mass)))
         return scores

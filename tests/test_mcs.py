@@ -59,10 +59,20 @@ class TestEncode:
         model = tiny_model()
         doc = doc_of("w1 w2 w3", "w4 w5", "w6 w7 w8 w9")
         enc = model.encode(doc)
-        assert enc.sent_states.shape == (3, model.config.hidden_dim)
+        assert enc.slot_states.shape == (1, 3, model.config.hidden_dim)
         assert enc.sent_mask.tolist() == [[True, True, True]]
         assert enc.slot_words.shape == (1, 3 * 4, model.config.hidden_dim)
         assert enc.slot_word_mask.sum() == 9
+
+    def test_empty_slots_hold_zero_word_states(self):
+        model = tiny_model()
+        enc = model.encode(doc_of("w1 w2 w3", "w4 w5", "w6"), doc_of("w7 w8"))
+        assert enc.sent_mask.tolist() == [[True, True, True], [True, False, False]]
+        words = enc.slot_words.data.reshape(2, 3, 3, -1)
+        assert np.all(words[1, 1:] == 0.0)
+        assert np.abs(words[1, 0, :2]).min() > 0.0
+        assert enc.slot_word_mask[1].tolist() == [[True, True, False], [True, False, False],
+                                                  [True, False, False]]
 
     def test_clipping_warns_and_limits(self, caplog):
         model = tiny_model()
@@ -84,11 +94,11 @@ class TestEncode:
     def test_probe_gradient_on_sentence_state(self):
         model = tiny_model(seed=3)
         doc = doc_of("w1 w2", "w3 w4 w5")
-        probe = np.random.default_rng(0).normal(size=(2, model.config.hidden_dim))
+        probe = np.random.default_rng(0).normal(size=(1, 2, model.config.hidden_dim))
 
         def f():
             enc = model.encode(doc)
-            return ad.tsum(ad.mul(enc.sent_states, ad.Tensor(probe)))
+            return ad.tsum(ad.mul(enc.slot_states, ad.Tensor(probe)))
 
         params = model.parameters()
         subset = [params["embed"], params["word.0.f.wx"], params["word.0.b.wh"],
@@ -209,7 +219,7 @@ class TestLabelLoss:
         labels = np.array([1.0, 0.0, 1.0])
         with ad.no_grad():
             enc = model.encode(doc)
-            z = model.classifier_scores(enc.sent_states).data
+            z = model.classifier_scores(enc.slot_states).data[0]
         z = np.clip(z, 1e-12, 1 - 1e-12)
         expected = -sum(
             labels[i] * math.log(z[i]) + (1 - labels[i]) * math.log(1 - z[i])
@@ -482,7 +492,7 @@ class TestRecallRate:
     def test_full_selection_is_total_recall(self):
         examples = make_synthetic_corpus(4, seed=20)
         selections = [
-            sel.Selection(list(range(ex.doc.n_sentences)), ex.doc.total_words)
+            sel.Selection(list(range(ex.doc.n_sentences)), sum(map(len, ex.doc.sentences)))
             for ex in examples
         ]
         rate = mcs.recall_rate(selections,

@@ -182,6 +182,42 @@ class TestTwoDirections:
         for got, want in zip(*results):
             assert_bitwise(got, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(problem=bigru_problems(), data=st.data())
+    def test_all_masked_rows_stay_zero_and_leave_the_other_rows(self, problem, data):
+        """A sentence slot past a document's end is such a row in the selector's word GRU.
+        Within 1e-12, not bit for bit: the row count changes how BLAS blocks the sums."""
+        x, mask, pair, probes = problem
+        rows, steps, d_in = x.shape
+        total = rows + data.draw(st.integers(1, 4))
+        kept = np.zeros(total, dtype=bool)
+        kept[data.draw(st.lists(st.integers(0, total - 1), min_size=rows, max_size=rows,
+                                unique=True))] = True
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x_all = rng.normal(size=(total, steps, d_in))   # the inserted rows' inputs are masked
+        x_all[kept] = x.data
+        mask_all = np.zeros((total, steps), dtype=bool)
+        mask_all[kept] = mask
+        probes_all = tuple(rng.normal(size=(total,) + probe.shape[1:]) for probe in probes)
+        for probe_all, probe in zip(probes_all, probes):
+            probe_all[kept] = probe
+
+        def run(xx, mm, pp):
+            with ad.Tape() as tape:
+                states, final = ad.gru_sequence(xx, mm, pair)
+                tape.backward(probe_loss(states, final, pp))
+            out = [states.data, final.data, xx.grad.copy()]
+            out += [t.grad.copy() for params in pair for t in params.tensors()]
+            tape.zero_grads()
+            return out
+
+        want, got = run(x, mask, probes), run(ad.parameter(x_all), mask_all, probes_all)
+        for got_rows, want_rows in zip(got[:3], want[:3]):  # states, final states, x's gradient
+            assert np.all(got_rows[~kept] == 0.0)
+            assert np.abs(got_rows[kept] - want_rows).max() <= 1e-12
+        for got_grad, want_grad in zip(got[3:], want[3:]):  # sums over every row
+            assert np.abs(got_grad - want_grad).max() <= 1e-12 * max(1.0, np.abs(want_grad).max())
+
     def test_a_pair_runs_from_zero_states_only(self):
         rng = np.random.default_rng(10)
         pair = ad.GruParams.init(2, 3, rng), ad.GruParams.init(2, 3, rng)
@@ -210,9 +246,9 @@ class TestEncodeTape:
                 model.encode(doc)
             counts.append(len(tape))
         # embedding lookup; per BiGRU layer one two-direction sequence op and its
-        # gather of the final states; the sentence summaries' gather into document
-        # slots and back out, and the word states gathered by slot
-        assert counts == [4 + 2 * (word_layers + sent_layers)] * 2
+        # gather of the final states; the slot summaries and the word states
+        # reshaped from slot rows to [documents, slots]
+        assert counts == [3 + 2 * (word_layers + sent_layers)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +477,7 @@ def per_document_scores(model, doc):
     """Rank-fused channels of one document scored alone through the one-document beam."""
     with ad.no_grad():
         enc = model.encode(doc)
-        z_hat = model.classifier_scores(enc.sent_states).data
+        z_hat = model.classifier_scores(enc.slot_states).data[0]
         beam = per_document_beam(model, enc)
     tail = np.zeros(doc.n_sentences - enc.sent_mask.sum())
     z_hat = np.concatenate([z_hat, tail])

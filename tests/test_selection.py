@@ -28,9 +28,10 @@ class TestRankTrc:
 
     def test_full_budget_reproduces_document(self):
         doc = doc_from_words("a b c", "d e", "f g h i")
-        selection = sel.truncate_and_sort(doc, sel.rank_trc(doc), doc.total_words)
+        total = sum(map(len, doc.sentences))
+        selection = sel.truncate_and_sort(doc, sel.rank_trc(doc), total)
         assert selection.indices == [0, 1, 2]
-        assert selection.words_used == doc.total_words
+        assert selection.words_used == total
         assert selection.first_sentence_cut is None
 
 
@@ -196,7 +197,7 @@ class TestPadSelection:
             order = rng.permutation(n)[:core_size]
             core_idx = sorted(int(i) for i in order)
             words = sum(len(doc.sentences[i]) for i in core_idx)
-            budget = max(words, int(rng.integers(1, doc.total_words + 3)))
+            budget = max(words, int(rng.integers(1, sum(map(len, doc.sentences)) + 3)))
             core = sel.Selection(core_idx, words)
             for mode in ("lead", "rand"):
                 padded = sel.pad_selection(core, doc, mode, budget, seed=trial)
@@ -217,7 +218,7 @@ class TestSelectPipeline:
             n = int(rng.integers(1, 8))
             doc = Document([[f"w{i}{j}" for j in range(int(rng.integers(1, 7)))]
                             for i in range(n)])
-            budget = int(rng.integers(1, doc.total_words + 4))
+            budget = int(rng.integers(1, sum(map(len, doc.sentences)) + 4))
             selection = sel.select(doc, sel.METHOD_TRC, budget)
             # oracle: walk sentences in order, stop at the last whole one fitting
             expected, used = [], 0
