@@ -1,6 +1,8 @@
 """Command surface: formats, exit codes, determinism, round-trips."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -255,6 +257,79 @@ def test_train_flags_default_to_the_config_dataclasses():
         required + [x for f in fields for x in ("--" + f.name.replace("_", "-"), str(f.default))])
     for f in fields:
         assert getattr(implicit, f.name) == getattr(explicit, f.name) == f.default, f.name
+
+
+_FLAG = st.integers(-1, 3).map(str)
+# per subcommand: its required flags, and optional flags with values valid or not
+_PARSER_COMMANDS = {
+    "cost-model": ([("--kind", st.sampled_from(["bart", "lobart", "hier"]))],
+                   {"-N": _FLAG, "-W": _FLAG, "--budget": _FLAG, "--grid": st.just("8:2,8:full")}),
+    "select": ([("--input", st.just("c.jsonl")), ("--output", st.just("s.jsonl")),
+                ("--method", st.sampled_from(["trc", "orc-pad-rand", "mcs"])), ("--budget", _FLAG)],
+               {"--seed": _FLAG, "--checkpoint": st.just("m.lsnt")}),
+    "analyze-attention": ([], {"-N": _FLAG, "--window": _FLAG | st.just("full"), "--seed": _FLAG}),
+    "train-mcs": ([("--input", st.just("c.jsonl")), ("--output", st.just("m.lsnt"))],
+                  {"--steps": _FLAG, "--dropout": st.just("0.5"), "--embed-dim": _FLAG}),
+    "score": ([("--input", st.just("c.jsonl")), ("--checkpoint", st.just("m.lsnt")),
+               ("--output", st.just("s.jsonl"))], {}),
+    "evaluate": ([("--input", st.just("p.jsonl"))], {}),
+    "make-corpus": ([("--output", st.just("c.jsonl"))], {"--docs": _FLAG, "--seed": _FLAG}),
+}
+_INVALID = st.sampled_from([None, "no-input", ("--window", "0"), ("--method", "bogus"),
+                            ("--budget", "-1")])
+
+
+def _assemble(command, required, optional, report, invalid):
+    pairs = [*required, *optional.items(), ("--report", report)]
+    if invalid == "no-input":
+        pairs = [kv for kv in pairs if kv[0] != "--input"]
+    elif invalid is not None:
+        pairs.append(invalid)
+    return [command, *(x for kv in pairs for x in kv)]
+
+
+def _parser_argv(command):
+    required, optional = _PARSER_COMMANDS[command]
+    return st.tuples(
+        st.tuples(*(st.tuples(st.just(name), value) for name, value in required)),
+        st.fixed_dictionaries({}, optional=optional), st.sampled_from(["text", "json"]), _INVALID,
+    ).map(lambda parts: _assemble(command, *parts))
+
+
+class TestCachedParser:
+    """``main`` builds its parser once per process; a parse leaves nothing behind for the next."""
+
+    @staticmethod
+    def parse(parser, argv):
+        """``vars`` of the namespace, or the exit code and stderr of a usage error."""
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                return exc.code, err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(argvs=st.lists(st.sampled_from(sorted(_PARSER_COMMANDS)).flatmap(_parser_argv),
+                          min_size=1, max_size=6))
+    def test_a_parse_is_the_fresh_parser_s_parse(self, argvs):
+        cached = build_parser()
+        for argv in argvs:
+            again, fresh = self.parse(cached, argv), self.parse(build_parser.__wrapped__(), argv)
+            assert build_parser() is cached
+            if isinstance(fresh, dict):
+                assert isinstance(again, dict), (argv, again)
+                assert again.pop("func") is fresh.pop("func")
+                assert again == fresh
+            else:
+                assert fresh[0] == 2 and again == fresh
+
+    def test_main_builds_the_parser_once(self, capsys):
+        build_parser.cache_clear()
+        for _ in range(3):
+            assert main(["cost-model", "--kind", "bart", "-N", "1024", "-M", "144"]) == 0
+        assert capsys.readouterr().out
+        assert (build_parser.cache_info().misses, build_parser.cache_info().hits) == (1, 2)
 
 
 @pytest.mark.parametrize("flag,value", [
