@@ -1,7 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Forward operations record adjoint closures on the innermost active
-:class:`Tape`; ``Tape.backward`` replays the records in reverse order.
+Forward operations record adjoint closures on the :class:`Tape` that is the
+innermost entry of the thread's tape stack; :class:`no_grad` is a null entry.
+``Tape.backward`` replays the records in reverse order.
 Gradients accumulate additively across fan-out, so callers reset them
 (``Tape.zero_grads``) before running a second backward pass.  Storage is
 row-major numpy float64 throughout; boolean masks are plain numpy arrays
@@ -27,7 +28,7 @@ Array = np.ndarray
 _tls = threading.local()
 
 
-def _tape_stack() -> list["Tape"]:
+def _tape_stack() -> list["Tape | None"]:
     stack = getattr(_tls, "stack", None)
     if stack is None:
         stack = []
@@ -36,24 +37,20 @@ def _tape_stack() -> list["Tape"]:
 
 
 def active_tape() -> "Tape | None":
+    """The innermost entry of this thread's tape stack: the Tape that records, or None."""
     stack = _tape_stack()
     return stack[-1] if stack else None
 
 
-def _recording() -> bool:
-    return getattr(_tls, "enabled", True)
-
-
 class no_grad:
-    """Context manager that suspends recording on any active tape."""
+    """A null entry on the tape stack; the innermost entry wins, so a Tape inside it records."""
 
     def __enter__(self):
-        self._prev = getattr(_tls, "enabled", True)
-        _tls.enabled = False
+        _tape_stack().append(None)
         return self
 
     def __exit__(self, *exc):
-        _tls.enabled = self._prev
+        _tape_stack().pop()
         return False
 
 
@@ -162,7 +159,7 @@ class Tape:
 def _apply(outdata: Array, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor._wrap(outdata)
     tape = active_tape()
-    if tape is not None and _recording() and any(t.requires_grad for t in inputs):
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape.records.append(_Record(out, tuple(inputs), backward_fn))
     return out
@@ -321,38 +318,24 @@ def getitem(a: Tensor, idx) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.
+    """Matrix product of an N-D ``a`` (N >= 2) with ``b``.
 
-    Supported: 2-D @ 2-D, 1-D @ 2-D, 2-D @ 1-D, N-D @ N-D with identical
-    batch dimensions, N-D @ 2-D (one matrix for every batch entry) and
-    N-D @ 1-D (contraction over the last axis).
+    Supported: N-D @ N-D with identical batch dimensions (2-D @ 2-D the plain
+    case), N-D @ 2-D (one matrix for every batch entry) and N-D @ 1-D
+    (contraction over the last axis).
     """
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise DimensionError(f"matmul needs at least 1-D operands, got {a.shape} x {b.shape}")
-    a_inner = ad.shape[-1]
-    b_inner = bd.shape[-2] if bd.ndim >= 2 else bd.shape[0]
-    if a_inner != b_inner:
-        raise DimensionError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    if ad.ndim >= 3 and bd.ndim >= 3 and ad.shape[:-2] != bd.shape[:-2]:
-        raise DimensionError(f"matmul batch dimensions differ: {a.shape} x {b.shape}")
-    if bd.ndim >= 3 and ad.ndim != bd.ndim:
+    if ad.ndim < 2 or bd.ndim == 0 or (bd.ndim >= 3 and ad.ndim != bd.ndim):
         raise DimensionError(f"unsupported matmul arrangement: {a.shape} x {b.shape}")
+    if ad.shape[-1] != bd.shape[-2 if bd.ndim >= 2 else 0]:
+        raise DimensionError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
+    if bd.ndim >= 3 and ad.shape[:-2] != bd.shape[:-2]:
+        raise DimensionError(f"matmul batch dimensions differ: {a.shape} x {b.shape}")
     out = np.matmul(ad, bd)
 
     def bwd(g):
-        if bd.ndim == 1 and ad.ndim == 1:
-            return (g * bd, g * ad)
-        if bd.ndim == 1:
-            # out[...] = sum_k a[..., k] * b[k]
-            ga = g[..., None] * bd
-            gb = (ad * g[..., None]).sum(axis=tuple(range(ad.ndim - 1)))
-            return (ga, gb)
-        if ad.ndim == 1:
-            # out[n] = sum_k a[k] * b[k, n]
-            ga = np.matmul(bd, g)
-            gb = np.outer(ad, g)
-            return (ga, gb)
+        if bd.ndim == 1:  # out[...] = sum_k a[..., k] * b[k]
+            return g[..., None] * bd, (ad * g[..., None]).sum(axis=tuple(range(ad.ndim - 1)))
         ga = np.matmul(g, np.swapaxes(bd, -1, -2))
         if ad.ndim > 2 and bd.ndim == 2:
             # b serves every batch entry: its gradient is one product over all of them
@@ -416,7 +399,8 @@ _DENSE_BLOCK_ROWS = 32
 def dense_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array | None) -> tuple[Tensor, Tensor]:
     """Scaled dot-product attention of [H x Nq x d] q over [H x Nk x d] k and v, as one op.
 
-    ``mask`` broadcasts to [H x Nq x Nk]; ``None`` permits every key.  One buffer holds
+    ``mask`` broadcasts to [H x Nq x Nk]; ``None`` permits every key.  q is scaled by
+    1/sqrt(d) before the product, so only dq is scaled at the end.  One buffer holds
     the scores, then in place the probabilities, which the backward reads; returns the
     context [H x Nq x d] and that buffer as a Tensor, which callers must not modify.
     The backward runs over blocks of 32 query rows through one [H x 32 x Nk] scratch
@@ -427,8 +411,7 @@ def dense_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array | None) -> tupl
     blocked = None if mask is None else blocked_entries(mask, q.shape[:2] + k.shape[1:2])
     (n_heads, n_q, _), n_k, b = q.shape, k.shape[1], _DENSE_BLOCK_ROWS
     scale = 1.0 / math.sqrt(q.shape[-1])
-    buf = np.matmul(q.data, k.data.swapaxes(-1, -2))
-    buf *= scale
+    buf = np.matmul(q.data * scale, k.data.swapaxes(-1, -2))
     _softmax_rows(buf, blocked)
 
     def bwd(g):
@@ -440,9 +423,9 @@ def dense_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array | None) -> tupl
             np.matmul(g_rows, v.data.swapaxes(-1, -2), out=ds)
             _softmax_rows_adjoint(probs, ds)  # the block's d(scores)
             np.matmul(ds, k.data, out=dq[:, rows])
-            dk += np.matmul(ds.swapaxes(-1, -2), q.data[:, rows])
+            dk += np.matmul(ds.swapaxes(-1, -2), q.data[:, rows] * scale)
             dv += np.matmul(probs.swapaxes(-1, -2), g_rows)
-        return dq * scale, dk * scale, dv
+        return dq * scale, dk, dv
 
     return _apply(np.matmul(buf, v.data), (q, k, v), bwd), Tensor._wrap(buf)
 
@@ -504,6 +487,7 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor
     off-band slots only, so the softmax runs in place on its rows.  Off-band
     and past-the-end slots are -inf before the row max, so their probability
     is exactly 0.  No N x N array is formed; the buffer is ~(2h+b+1)/(2h+1) of the band.
+    As in :func:`dense_attention`, q is scaled by 1/sqrt(d_head) before the product.
 
     Records one op; returns the context [H x N x d_head] and the band
     probabilities [H x N x 2h+1], a view of the buffer (see :func:`band_to_dense`).
@@ -516,7 +500,7 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor
     n_heads, n, d_head = q.shape
     h = min(int(half), n - 1)
     b = max(1, min(h, 1 << (h.bit_length() + 3) // 2))  # b <= h + 1: padded rows see key N - 1
-    rows, width, scale = -(-n // b) * b, b + 2 * h, math.sqrt(d_head)  # rows = N'
+    rows, width, scale = -(-n // b) * b, b + 2 * h, 1.0 / math.sqrt(d_head)  # rows = N'
 
     def blocks(x):  # [H x N x d] as [H x blocks x b x d], zero rows past N
         x = x if rows == n else np.concatenate((x, np.zeros((n_heads, rows - n, d_head))), 1)
@@ -543,7 +527,7 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor
 
     buf = np.empty((n_heads, rows, width + 1))
     probs = block_view(buf)
-    np.matmul(blocks(q.data), window(padded(k.data / scale)).swapaxes(-1, -2), out=probs)
+    np.matmul(blocks(q.data * scale), window(padded(k.data)).swapaxes(-1, -2), out=probs)
     i, s = np.arange(rows)[:, None], np.arange(width + 1)
     _softmax_rows(buf, (s > 2 * h) | (s < h - i) | (s >= n + h - i))
     ctx = np.matmul(probs, window(padded(v.data))).reshape(n_heads, rows, d_head)[:, :n]
@@ -555,9 +539,9 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor
         dbuf[:, b - 1::b, 2 * h + 1:] = 0.0  # the one region the strided product leaves unwritten
         dv = fold(np.matmul(probs.swapaxes(-1, -2), gb))
         _softmax_rows_adjoint(buf, dbuf)  # d(scores)
-        dq = np.matmul(dprobs, window(padded(k.data / scale)))
-        dk = fold(np.matmul(dprobs.swapaxes(-1, -2), blocks(q.data))) / scale
-        return dq.reshape(n_heads, rows, d_head)[:, :n], dk, dv
+        dq = np.matmul(dprobs, window(padded(k.data)))
+        dk = fold(np.matmul(dprobs.swapaxes(-1, -2), blocks(q.data * scale)))
+        return dq.reshape(n_heads, rows, d_head)[:, :n] * scale, dk, dv
 
     return _apply(ctx, (q, k, v), bwd), buf[:, :n, :2 * h + 1]
 
@@ -667,7 +651,8 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams | tuple[GruParams, Gr
     direction reads it and the mask flipped in time, so one loop steps the [D x rows x d_h]
     state with one batched h [Ur|Uz|Un] product.  Backpropagation through time runs in the
     one record; each direction's input and parameter gradients are then the products a
-    one-direction run makes, bit for bit.  :func:`gru_cell` is the one-step case.
+    one-direction run makes, bit for bit; the per-step gate values it reads are kept only
+    while a tape records.  :func:`gru_cell` is the one-step case.
     """
     dirs = tuple(zip(params, (False, True))) if isinstance(params, tuple) else ((params, reverse),)
     if len(dirs) == 2 and (reverse or h0 is not None):
@@ -691,12 +676,12 @@ def gru_sequence(x: Tensor, mask: Array, params: GruParams | tuple[GruParams, Gr
     wh = dirs[0][0].wh.data[None] if n_dirs == 1 else np.array([p.wh.data for p, _ in dirs])
     hs = np.empty((steps + 1, n_dirs, rows, d))  # hs[k]: the state running step k reads
     hs[0] = 0.0 if h0 is None else h0.data
-    caches = []
+    caches, keep_caches = [], active_tape() is not None
     for k, h in enumerate(hs[:-1]):
         hw = np.matmul(h, wh)
         rz = _sigmoid(xw[:, :, k, : 2 * d] + hw[..., : 2 * d])
         n = np.tanh(xw[:, :, k, 2 * d:] + rz[..., :d] * hw[..., 2 * d:])
-        if _recording():  # what the backward reads; under no_grad nothing is kept
+        if keep_caches:
             caches.append((rz, hw[..., 2 * d:], n))
         hs[k + 1] = np.where(keep[:, :, k], n + rz[..., d:] * (h - n), h)
     runs = [hs[1:, i].swapaxes(0, 1)[:, o] for i, o in enumerate(order)]  # views of hs

@@ -114,9 +114,8 @@ class TestMatmul:
         np.testing.assert_allclose(
             ad.matmul(ad.Tensor(a3[0]), ad.Tensor(v)).data, a3[0] @ v, atol=1e-14
         )
-        np.testing.assert_allclose(
-            ad.matmul(ad.Tensor(v), ad.Tensor(b3[0])).data, v @ b3[0], atol=1e-14
-        )
+        with pytest.raises(DimensionError, match=r"unsupported.*\(4,\) x \(4, 5\)"):
+            ad.matmul(ad.Tensor(v), ad.Tensor(b3[0]))
 
     def test_batch_times_one_matrix(self):
         rng = np.random.default_rng(12)
@@ -600,3 +599,21 @@ class TestDropoutAndNoGrad:
                 y = ad.mul(x, x)
             assert len(tape) == 0
             assert not y.requires_grad
+
+    def test_a_re_entered_no_grad_leaves_later_tapes_recording(self):
+        x, suspended = ad.parameter(np.ones(3)), ad.no_grad()
+        with suspended:
+            with suspended:
+                pass
+        with ad.Tape() as tape:
+            ad.mul(x, x)
+        assert len(tape) == 1
+
+    def test_a_tape_entered_inside_no_grad_records(self):
+        x = ad.parameter(np.ones(3))
+        with ad.Tape() as outer, ad.no_grad():
+            with ad.Tape() as inner:  # the innermost entry wins
+                y = ad.mul(x, x)
+            z = ad.mul(x, x)
+        assert (len(outer), len(inner)) == (0, 1)
+        assert y.requires_grad and not z.requires_grad

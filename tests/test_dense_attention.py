@@ -14,10 +14,9 @@ from test_banded_attention import NanEmpty
 
 
 def composed_attention(q, k, v, mask):
-    """matmul -> mul(1/sqrt(d)) -> masked_softmax -> matmul, five tape records."""
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))),
-                    ad.Tensor(np.float64(1.0 / math.sqrt(q.shape[-1]))))
-    probs = ad.masked_softmax(scores, mask)
+    """mul(q, 1/sqrt(d)) -> matmul -> masked_softmax -> matmul, five tape records."""
+    q_scaled = ad.mul(q, ad.Tensor(np.float64(1.0 / math.sqrt(q.shape[-1]))))
+    probs = ad.masked_softmax(ad.matmul(q_scaled, ad.transpose(k, (0, 2, 1))), mask)
     return ad.matmul(probs, v), probs
 
 
@@ -130,3 +129,57 @@ def test_mask_of_the_wrong_shape_is_a_dimension_error():
         attn.multi_head_attention(x, x, x, np.ones((5, 4), dtype=bool), params, 2)
     with pytest.raises(DimensionError, match="dense_attention got"):
         ad.dense_attention(q, k, q, None)
+
+
+class UnitSqrt:
+    """math, except that ``sqrt`` is 1: an attention op then scales q by 1."""
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    @staticmethod
+    def sqrt(_x):
+        return 1.0
+
+
+@pytest.mark.parametrize("d", [4, 16])
+@pytest.mark.parametrize("op,shape", [
+    ("dense", (2, 7, 9)), ("dense", (3, 3 * B + 5, 41)), ("dense", (1, 2 * B, 1)),
+    ("band", (2, 9, 3)), ("band", (3, 37, 6)), ("band", (2, 100, 33)), ("band", (1, 5, 9))])
+def test_a_power_of_two_scale_gives_the_scale_after_product_bits(monkeypatch, op, shape, d):
+    """At d_head = 4 and 16, 1/sqrt(d) is a power of two, so scaling q before the product
+    gives the bits of the composed order, which scales the product and the score gradient.
+    The reference is the same op with q unscaled and the scale moved into the softmax."""
+    heads, n_q, last = shape  # last: the band's half-width, or the dense op's key count
+    rng = np.random.default_rng(n_q + d)
+    n_k = last if op == "dense" else n_q
+    arrays = [rng.normal(size=(heads, n, d)) for n in (n_q, n_k, n_k, n_q)]
+    mask = make_mask("random", n_q, n_k, rng) if op == "dense" else None
+
+    def run():
+        qkv = [ad.parameter(x) for x in arrays[:3]]
+        with ad.Tape() as tape:
+            if op == "dense":
+                ctx, probs = ad.dense_attention(*qkv, mask)
+            else:
+                ctx, probs = ad.banded_attention(*qkv, last)
+            tape.backward(ad.tsum(ad.mul(ctx, ad.Tensor(arrays[3]))))
+        return [ctx.data, np.array(probs.data if op == "dense" else probs)] + [t.grad for t in qkv]
+
+    scaled_q = run()
+    scale, rows, adjoint = 1.0 / math.sqrt(d), ad._softmax_rows, ad._softmax_rows_adjoint
+
+    def rows_of_the_scaled_product(buf, blocked):
+        np.multiply(buf, scale, out=buf, where=True if blocked is None else ~blocked)
+        rows(buf, blocked)
+
+    def adjoint_of_the_scaled_product(probs, g):
+        adjoint(probs, g)
+        g *= scale
+        return g
+
+    monkeypatch.setattr(ad, "math", UnitSqrt())
+    monkeypatch.setattr(ad, "_softmax_rows", rows_of_the_scaled_product)
+    monkeypatch.setattr(ad, "_softmax_rows_adjoint", adjoint_of_the_scaled_product)
+    for name, got, want in zip(["context", "probabilities", "dq", "dk", "dv"], scaled_q, run()):
+        assert got.tobytes() == want.tobytes(), name

@@ -1,7 +1,9 @@
 """Hierarchical selector: encoding, losses, beam decode, fusion, training."""
 
+import contextlib
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -520,6 +522,28 @@ class TestRecallRate:
         budget = 20  # four of eight sentences fit
         rate = mcs.random_selection_recall(examples, budget, trials=40, seed=3)
         assert 30.0 < rate < 70.0  # around the 50% sentence fraction
+
+
+class TestRecordingState:
+    def test_a_loss_outside_any_tape_keeps_no_more_than_under_no_grad(self):
+        """Only a recording tape makes the GRUs keep their per-step caches."""
+        examples = make_synthetic_corpus(40, seed=7, n_sentences=(6, 14))
+        vocab = Vocab.build(examples)
+        config = mcs.McsConfig(vocab_size=len(vocab), embed_dim=16, hidden_dim=16)
+        model = mcs.McsModel.init(config, vocab, seed=0)
+        batch = mcs._prepare(model, examples[:8])
+
+        def peak(suspend):
+            tracemalloc.start()
+            try:
+                with ad.no_grad() if suspend else contextlib.nullcontext():
+                    model.batch_loss(batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(suspend=False), peak(suspend=True)  # one-time allocations land in neither
+        assert peak(suspend=False) <= peak(suspend=True)
 
 
 class TestSchedule:
