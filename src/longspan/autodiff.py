@@ -189,13 +189,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
     ad, bd = a.data, b.data
-    return _apply(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)),
-    )
+    return _apply(ad * bd, (a, b),
+                  lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -295,8 +291,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
     return _apply(out, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
@@ -749,32 +744,37 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:
 class Adam:
     """Adaptive-moment descent over a model's name -> parameter map.
 
-    Parameters whose grad is ``None`` at :meth:`step` are skipped entirely,
-    so unused heads keep their initial values (no weight decay).
+    Each parameter's ``data`` becomes a view of the optimizer's one float64
+    ``buffer`` (a second optimizer over the same parameters moves them into its
+    own, leaving the first one's unused).  :meth:`step` updates the whole
+    buffer at once, bitwise as tensor by tensor; a parameter whose grad is
+    ``None`` keeps its value, ``m`` and ``v`` (no weight decay).
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict[str, Tensor]):
         self.params: list[Tensor] = list(params.values())
-        self.m = [np.zeros(p.shape) for p in self.params]
-        self.v = [np.zeros(p.shape) for p in self.params]
-        self.t = 0
+        self.sizes = [p.data.size for p in self.params]
+        cuts, self.t = np.cumsum(self.sizes)[:-1], 0
+        self.buffer = np.concatenate([p.data.ravel() for p in self.params])
+        self.grads, self.m, self.v = (np.zeros_like(self.buffer) for _ in range(3))
+        for p, part in zip(self.params, np.split(self.buffer, cuts)):
+            p.data = part.reshape(p.shape)
+        self._grad_parts = [g.reshape(p.shape) for p, g in zip(self.params, np.split(self.grads, cuts))]
 
     def step(self, lr: float) -> None:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
-        bias1 = 1.0 - b1**self.t
-        bias2 = 1.0 - b2**self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / bias1
-            v_hat = self.v[i] / bias2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        bias1, bias2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        present = [p.grad is not None for p in self.params]
+        for p, part, has in zip(self.params, self._grad_parts, present):
+            part[...] = p.grad if has else 0.0
+        g, mask = self.grads, np.repeat(present, self.sizes)
+        self.m = np.where(mask, b1 * self.m + (1.0 - b1) * g, self.m)
+        self.v = np.where(mask, b2 * self.v + (1.0 - b2) * g * g, self.v)
+        update = lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + self.EPS)
+        np.subtract(self.buffer, update, out=self.buffer, where=mask)
 
     def zero_grads(self) -> None:
         for p in self.params:

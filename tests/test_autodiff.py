@@ -617,3 +617,107 @@ class TestDropoutAndNoGrad:
             z = ad.mul(x, x)
         assert (len(outer), len(inner)) == (0, 1)
         assert y.requires_grad and not z.requires_grad
+
+
+class PerTensorAdam:
+    """The per-tensor update ``ad.Adam`` replaced, verbatim: the reference for its bits."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, ad.Tensor]):
+        self.params: list[ad.Tensor] = list(params.values())
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
+        self.t = 0
+
+    def step(self, lr: float) -> None:
+        self.t += 1
+        b1, b2 = self.BETA1, self.BETA2
+        bias1 = 1.0 - b1**self.t
+        bias2 = 1.0 - b2**self.t
+        for i, p in enumerate(self.params):
+            g = p.grad
+            if g is None:
+                continue
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
+            m_hat = self.m[i] / bias1
+            v_hat = self.v[i] / bias2
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+
+
+def per_tensor(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """A flat optimizer array cut into arrays of ``shapes``."""
+    cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    return [part.reshape(s) for part, s in zip(np.split(flat, cuts), shapes)]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SHAPES = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple)  # 0-d to 3-D
+
+
+class TestAdam:
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=st.lists(SHAPES, min_size=1, max_size=10),
+           present=st.lists(st.lists(st.booleans(), min_size=10, max_size=10),
+                            min_size=1, max_size=6),
+           lr=st.floats(1e-5, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_the_per_tensor_update(self, shapes, present, lr, seed):
+        rng = np.random.default_rng(seed)
+        init = [rng.normal(size=s) for s in shapes]
+        params = {f"p{i}": ad.parameter(x) for i, x in enumerate(init)}
+        oracle = {name: ad.parameter(x) for name, x in zip(params, init)}
+        opt, ref = ad.Adam(params), PerTensorAdam(oracle)
+        for has_grad in present:
+            for p, q, has in zip(params.values(), oracle.values(), has_grad):
+                # gradients spanning six decades, so bias correction and eps both matter
+                g = np.asarray(rng.normal(size=p.shape) * 10.0 ** rng.uniform(-6, 0)) if has else None
+                p.grad, q.grad = g, g
+            opt.step(lr)
+            ref.step(lr)
+            opt.zero_grads()
+        for name in params:
+            assert same_bits(params[name].data, oracle[name].data), name
+        for flat, want in ((opt.m, ref.m), (opt.v, ref.v)):
+            for got, expected in zip(per_tensor(flat, shapes), want):
+                assert same_bits(got, expected)
+
+    def test_a_tensor_never_given_a_grad_keeps_its_bits(self):
+        rng = np.random.default_rng(3)
+        used, unused = ad.parameter(rng.normal(size=(3, 2))), ad.parameter(rng.normal(size=4))
+        before = unused.data.copy()
+        opt = ad.Adam({"used": used, "unused": unused})
+        for _ in range(5):
+            used.grad = rng.normal(size=used.shape)
+            opt.step(0.1)
+            opt.zero_grads()
+        assert same_bits(unused.data, before)
+        m, v = (per_tensor(a, [(3, 2), (4,)])[1] for a in (opt.m, opt.v))
+        assert not m.any() and not v.any()
+
+    def test_parameters_are_views_of_the_optimizer_buffer(self):
+        rng = np.random.default_rng(4)
+        params = {"b": ad.parameter(np.float64(0.5)), "w": ad.parameter(rng.normal(size=(2, 3))),
+                  "k": ad.parameter(rng.normal(size=(2, 2, 2)))}
+        values = {name: p.data.copy() for name, p in params.items()}
+        opt = ad.Adam(params)
+        for name, p in params.items():
+            assert same_bits(p.data, values[name])
+            p.grad = np.ones(p.shape)
+        opt.step(0.01)
+        for name, p in params.items():
+            assert np.shares_memory(p.data, opt.buffer), name
+            assert not np.array_equal(p.data, values[name])
+
+    def test_a_second_optimizer_takes_the_parameters_over(self):
+        p = ad.parameter(np.arange(3.0))
+        first, second = ad.Adam({"p": p}), ad.Adam({"p": p})
+        p.grad = np.ones(3)
+        second.step(0.1)
+        assert np.shares_memory(p.data, second.buffer)
+        assert not np.shares_memory(p.data, first.buffer)
+        np.testing.assert_array_equal(first.buffer, np.arange(3.0))

@@ -709,6 +709,22 @@ class TestCheckpoint:
         assert (sel.rank_model(doc, model.fused_scores).indices
                 == sel.rank_model(doc, loaded.fused_scores).indices)
 
+    def test_a_trained_model_saves_its_trained_values(self, tmp_path):
+        examples = make_synthetic_corpus(4, seed=33, n_sentences=(3, 4),
+                                         words_per_sentence=(3, 4))
+        model = tiny_model(Vocab.build(examples), seed=34)
+        init = {name: p.data.copy() for name, p in model.params.items()}
+        settings = mcs.TrainSettings(steps=5, batch_size=2, warmup=2, lr_scale=0.05,
+                                     seed=9, val_fraction=0.0)
+        mcs.train(model, examples, gamma=0.2, settings=settings)
+        path = tmp_path / "trained.lsnt"
+        model.save(path)
+        loaded = mcs.McsModel.load(path)
+        assert set(loaded.params) == set(model.params)
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+        assert all(not np.array_equal(p.data, init[name]) for name, p in model.params.items())
+
     def test_wrong_kind_rejected(self, tmp_path):
         from longspan.checkpoint import save_tensors
 
