@@ -202,7 +202,8 @@ def cmd_cost_model(args) -> int:
 
 
 # score and select --method mcs score this many documents at once, in input order, so the
-# model's working memory is that of one group whatever the input's length
+# model's working memory is that of one group whatever the input's length.  Documents are
+# encoded whole, nothing cut, so a group's memory follows its longest document and sentence.
 INFERENCE_GROUP = 32
 
 
@@ -378,12 +379,15 @@ def cmd_train_mcs(args) -> int:
         "final_train_loss": result.history[-1]["train_loss"] if result.history else None,
         "vocab_size": len(vocab),
         "documents": len(examples),
+        **result.clipping,
     }
 
     def text(rep):
         yield (f"trained {rep['steps_run']} steps on {rep['documents']} documents "
                f"(early stop: {rep['stopped_early']})")
         yield f"final train loss: {rep['final_train_loss']:.4f}"
+        yield (f"clipped for training: {rep['clipped_documents']} documents "
+               f"({rep['dropped_sentences']} sentences dropped, {rep['cut_sentences']} cut)")
         yield f"checkpoint: {rep['checkpoint']}"
         yield f"loss curve: {rep['curve_file']}"
 

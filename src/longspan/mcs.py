@@ -22,7 +22,6 @@ channel leaves the final ranking unchanged.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
@@ -41,8 +40,6 @@ from .errors import (
 from .metrics import ngram_recall  # wrapped by perfbench/tracing.py; not called here
 from .selection import descending_order, oracle_similarities, positive_indices, select
 
-log = logging.getLogger(__name__)
-
 CHECKPOINT_KIND = "mcs"
 
 
@@ -51,7 +48,9 @@ class McsConfig:
     """Dimensions and limits of the hierarchical model.
 
     ``hidden_dim`` is the concatenated bidirectional state size (each
-    direction carries half).  Defaults are desk-scale.
+    direction carries half).  ``max_sentences`` and ``max_words`` bound
+    only what :func:`train` sees; inference encodes and scores whole
+    documents.  Defaults are desk-scale.
     """
 
     vocab_size: int
@@ -222,24 +221,6 @@ class McsModel:
 
     # -- encoding -----------------------------------------------------------
 
-    def _clip(self, doc: Document) -> Document:
-        """The part of ``doc`` the model sees, with one warning if that is not all of it.
-
-        Only the first ``max_sentences`` sentences, each cut to ``max_words``
-        words, are encoded.  Training labels only those sentences; inference
-        gives every later sentence 0.0 on both channels, so those sentences
-        rank last, in document order.
-        """
-        cfg = self.config
-        kept = doc.sentences[: cfg.max_sentences]
-        long_sentences = sum(len(s) > cfg.max_words for s in kept)
-        if len(kept) == doc.n_sentences and not long_sentences:
-            return doc
-        log.warning("document %s clipped to %d sentences of at most %d words "
-                    "(%d sentences dropped, %d cut)", doc.id, cfg.max_sentences,
-                    cfg.max_words, doc.n_sentences - len(kept), long_sentences)
-        return Document([s[: cfg.max_words] for s in kept], id=doc.id)
-
     def _bigru_sequence(self, x: Tensor, mask: np.ndarray, prefix: str) -> tuple[Tensor, Tensor]:
         """Bidirectional GRU over axis 1 of ``x`` [rows, steps, d_in] as one two-direction op.
 
@@ -256,17 +237,18 @@ class McsModel:
         word GRU takes its D*N1 slots as rows, where an empty slot's row is
         all masked and stays zero; the sentence GRU runs over [documents,
         slots] with each document's own sentence count as its mask.
-        Documents beyond the configured sentence/word limits are clipped
-        with a warning (:meth:`_clip`).
+        Every sentence and word of every document is encoded: N1 and J are
+        the group's longest document and sentence.  ``max_sentences`` and
+        ``max_words`` are not read here; :func:`train` cuts its documents
+        to them before they get here.
         """
         cfg = self.config
-        clipped = [self._clip(doc).sentences for doc in docs]
-        lengths = np.zeros((len(docs), max(map(len, clipped))), dtype=np.intp)  # 0: empty slot
-        for row, sentences in zip(lengths, clipped):
-            row[: len(sentences)] = [len(sentence) for sentence in sentences]
+        lengths = np.zeros((len(docs), max(d.n_sentences for d in docs)), dtype=np.intp)  # 0: empty
+        for row, doc in zip(lengths, docs):
+            row[: doc.n_sentences] = [len(sentence) for sentence in doc.sentences]
         word_mask = np.arange(lengths.max()) < lengths[..., None]   # [D, N1, J]
         ids = np.full(word_mask.shape, Vocab.PAD, dtype=np.intp)
-        ids[word_mask] = self.vocab.encode([w for doc in clipped for s in doc for w in s])
+        ids[word_mask] = self.vocab.encode([w for doc in docs for s in doc.sentences for w in s])
         n_docs, n1, j_max = ids.shape
         sent_mask = lengths > 0
 
@@ -528,9 +510,8 @@ class McsModel:
     def inference_scores(self, *docs: Document) -> list[McsScores]:
         """Rank-fused classifier and attention channels of every sentence of each document.
 
-        One encoding, one classifier pass and one lock-step beam serve the
-        whole group.  Every sentence gets a score; clipped ones rank last
-        (:meth:`_clip`).
+        One encoding of the whole documents, one classifier pass and one
+        lock-step beam serve the whole group.
         """
         if not docs:
             return []
@@ -539,10 +520,8 @@ class McsModel:
             z_hat = self.classifier_scores(enc.slot_states).data   # [D, N1]
             beams = self._beam_from_encoded(enc)
         scores = []
-        for doc, doc_z, count, beam in zip(docs, z_hat, enc.sent_mask.sum(axis=1), beams):
-            tail = np.zeros(doc.n_sentences - count)
-            attn_mass = np.concatenate([beam.mass[:count], tail])
-            doc_z = np.concatenate([doc_z[:count], tail])
+        for doc, doc_z, beam in zip(docs, z_hat, beams):
+            doc_z, attn_mass = doc_z[: doc.n_sentences], beam.mass[: doc.n_sentences]
             scores.append(McsScores(doc_z, attn_mass,
                                     rank_normalize(doc_z) + rank_normalize(attn_mass)))
         return scores
@@ -641,18 +620,28 @@ class TrainResult:
     history: list[dict]
     steps_run: int
     stopped_early: bool
+    clipping: dict[str, int]   # what the training cut removed (:func:`_prepare`)
 
 
-def _prepare(model: McsModel, examples: Sequence[Example]) -> list[tuple[Document, list[int], np.ndarray]]:
+def _prepare(model: McsModel, examples: Sequence[Example]
+             ) -> tuple[list[tuple[Document, list[int], np.ndarray]], dict[str, int]]:
+    """(document, target ids, labels) of each example, its document cut to its first
+    ``max_sentences`` sentences of at most ``max_words`` words, and counts of that cut."""
+    cfg = model.config
     prepared = []
+    clipping = dict.fromkeys(("clipped_documents", "dropped_sentences", "cut_sentences"), 0)
     for ex in examples:
-        if ex.reference is None or not ex.reference:
+        if not ex.reference:
             raise InputError(f"document {ex.doc.id} has no reference; cannot train")
-        target = ex.reference[: model.config.max_target]
-        doc = model._clip(ex.doc)
-        labels = make_labels(ex.doc, ex.reference)[: doc.n_sentences]
-        prepared.append((doc, model._target_ids(target), labels))
-    return prepared
+        kept = ex.doc.sentences[: cfg.max_sentences]
+        dropped, cut = ex.doc.n_sentences - len(kept), sum(len(s) > cfg.max_words for s in kept)
+        clipping["clipped_documents"] += bool(dropped or cut)
+        clipping["dropped_sentences"] += dropped
+        clipping["cut_sentences"] += cut
+        doc = Document([s[: cfg.max_words] for s in kept], id=ex.doc.id)
+        labels = make_labels(ex.doc, ex.reference)[: len(kept)]
+        prepared.append((doc, model._target_ids(ex.reference[: cfg.max_target]), labels))
+    return prepared, clipping
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -666,7 +655,7 @@ def train(model: McsModel, examples: Sequence[Example], gamma: float | None = No
     improved for ``patience`` consecutive evaluations.
     """
     settings = settings or TrainSettings()
-    prepared = _prepare(model, examples)
+    prepared, clipping = _prepare(model, examples)
     rng = np.random.default_rng(settings.seed)
     order = rng.permutation(len(prepared))
     n_val = int(round(settings.val_fraction * len(prepared)))
@@ -716,4 +705,4 @@ def train(model: McsModel, examples: Sequence[Example], gamma: float | None = No
                     break
         history.append(entry)
 
-    return TrainResult(model, history, step, stopped_early)
+    return TrainResult(model, history, step, stopped_early, clipping)

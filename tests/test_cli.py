@@ -659,20 +659,22 @@ class TestGroupedInference:
         assert out.read_bytes() == b""
 
 
-def check_scores_and_selection(corpus_path, scores_path, sel_path, max_sentences):
-    """One score row per sentence, clipped ones ranked last; no failed select line."""
+def check_scores_and_selection(corpus_path, ckpt, scores_path, sel_path, budget):
+    """One score row per sentence, equal to the whole document's scores alone (sentences past
+    the training limits included); each select line the walk over its fused scores."""
+    model = mcs.McsModel.load(ckpt)
     rows = read_jsonl(scores_path)
-    docs = read_jsonl(corpus_path)
-    for doc, picked in zip(docs, read_jsonl(sel_path)):
-        mine = [r for r in rows if r["id"] == doc["id"]]
-        assert [r["sentence_index"] for r in mine] == list(range(len(doc["sentences"])))
+    examples = load_corpus(corpus_path)
+    for ex, picked in zip(examples, read_jsonl(sel_path)):
+        mine = [r for r in rows if r["id"] == ex.doc.id]
+        assert [r["sentence_index"] for r in mine] == list(range(ex.doc.n_sentences))
+        [alone] = model.inference_scores(ex.doc)
+        assert np.abs([r["z_hat"] for r in mine] - alone.z_hat).max() <= 1e-12
+        assert np.abs([r["attn_mass"] for r in mine] - alone.attn_mass).max() <= 1e-12
         fused = [r["fused"] for r in mine]
-        for i in range(max_sentences, len(fused)):
-            assert mine[i]["z_hat"] == mine[i]["attn_mass"] == 0.0
-            assert fused[i] < min(fused[:max_sentences])
-            assert fused[i] < min(fused[max_sentences:i], default=np.inf)
-        assert "error" not in picked
-    assert len(rows) == sum(len(doc["sentences"]) for doc in docs)
+        assert fused == alone.fused.tolist()
+        assert picked == select(ex.doc, "model", budget, scorer=lambda d: fused).to_record(ex.doc)
+    assert len(rows) == sum(ex.doc.n_sentences for ex in examples)
 
 
 class TestClippingContract:
@@ -687,14 +689,19 @@ class TestClippingContract:
             "--embed-dim", "16", "--hidden-dim", "16", "--max-sentences", "8",
             "--max-words", "6", "--max-target", "12")
         assert code == 0 and report["steps_run"] == 20
-        assert max(len(doc["sentences"]) for doc in read_jsonl(corpus)) > 8
+        docs = [ex.doc.sentences for ex in load_corpus(corpus)]
+        assert max(map(len, docs)) > 8
+        assert report["clipped_documents"] == sum(
+            len(doc) > 8 or any(len(s) > 6 for s in doc[:8]) for doc in docs)
+        assert report["dropped_sentences"] == sum(max(len(doc) - 8, 0) for doc in docs)
+        assert report["cut_sentences"] == sum(len(s) > 6 for doc in docs for s in doc[:8])
         assert run(capsys, "score", "--input", str(corpus), "--checkpoint", str(ckpt),
                    "--output", str(scores))[0] == 0
         code, report = run_json(capsys, "select", "--input", str(corpus),
                                 "--output", str(picked), "--method", "mcs",
                                 "--budget", "14", "--checkpoint", str(ckpt))
         assert code == 0 and report["failed_lines"] == 0
-        check_scores_and_selection(corpus, scores, picked, 8)
+        check_scores_and_selection(corpus, ckpt, scores, picked, 14)
 
     sentence = st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta", "eps"]),
                         min_size=1, max_size=5)
@@ -725,7 +732,8 @@ class TestClippingContract:
                                     "--method", "mcs", "--budget", "6",
                                     "--checkpoint", str(ckpt))
             assert code == 0 and report["failed_lines"] == 0
-            check_scores_and_selection(corpus, tmp / "scores.jsonl", tmp / "picked.jsonl", 3)
+            check_scores_and_selection(corpus, ckpt, tmp / "scores.jsonl",
+                                       tmp / "picked.jsonl", 6)
 
 
 class TestMalformedCheckpoint:

@@ -76,13 +76,13 @@ class TestEncode:
         assert enc.slot_word_mask[1].tolist() == [[True, True, False], [True, False, False],
                                                   [True, False, False]]
 
-    def test_clipping_warns_and_limits(self, caplog):
-        model = tiny_model()
-        doc = Document([["w1", "w2"]] * 12)
-        with caplog.at_level("WARNING"):
-            enc = model.encode(doc)
-        assert enc.sent_mask.sum() == model.config.max_sentences
-        assert "clipped" in caplog.text
+    def test_documents_are_encoded_whole(self):
+        """max_sentences and max_words bound training only; TestTraining checks the cut."""
+        model = tiny_model(max_sentences=3, max_words=2)
+        enc = model.encode(Document([["w1", "w2", "w3", "w4"]] * 5), doc_of("w5"))
+        assert enc.sent_mask.sum(axis=1).tolist() == [5, 1]
+        assert enc.slot_word_mask[0].all()
+        assert enc.slot_words.shape == (2, 5 * 4, model.config.hidden_dim)
 
     def test_permuting_sentences_permutes_word_states(self):
         model = tiny_model()
@@ -456,18 +456,29 @@ class TestRankFusion:
         assert ranking.indices == expected
         assert (scores.attn_mass >= 0).all()
 
-    def test_clipped_sentences_are_scored_and_ranked_last(self):
-        model = tiny_model(seed=19, max_sentences=3)
+    def test_sentences_past_the_training_limits_are_scored(self):
+        model = tiny_model(seed=19, max_sentences=3, max_words=1)
         doc = doc_of("w1 w2", "w3 w4", "w5 w6", "w7 w8", "w9 w10")
         [scores] = model.inference_scores(doc)
         ranking = sel.rank_model(doc, model.fused_scores)
         assert len(scores.fused) == len(scores.z_hat) == len(scores.attn_mass) == 5
-        assert (scores.z_hat[3:] == 0.0).all() and (scores.attn_mass[3:] == 0.0).all()
-        assert (scores.z_hat[:3] > 0.0).all() and (scores.attn_mass[:3] > 0.0).all()
-        assert ranking.indices[3:] == [3, 4]
+        with ad.no_grad():
+            z_hat = model.classifier_scores(model.encode(doc).slot_states).data[0]
+        np.testing.assert_array_equal(scores.z_hat, z_hat)
+        assert (scores.attn_mass > 0.0).all()
         expected = sorted(range(5), key=lambda i: (-scores.fused[i], i))
         assert ranking.indices == expected
         assert len(scores.to_records(doc.id)) == 5
+
+    # a word past max_words of sentence 0, and one in sentence 4, past max_sentences
+    @pytest.mark.parametrize("sentence, word", [(0, 3), (4, 0)])
+    def test_a_word_past_the_training_limits_moves_its_sentence_s_score(self, sentence, word):
+        model = tiny_model(seed=19, max_sentences=3, max_words=2)
+        doc = doc_of(*["w1 w2 w3 w4"] * 5)
+        changed = doc_of(*["w1 w2 w3 w4"] * 5)
+        changed.sentences[sentence][word] = "w9"
+        [before], [after] = model.inference_scores(doc), model.inference_scores(changed)
+        assert before.z_hat[sentence] != after.z_hat[sentence]
 
 
 class TestLossFiniteness:
@@ -531,7 +542,7 @@ class TestRecordingState:
         vocab = Vocab.build(examples)
         config = mcs.McsConfig(vocab_size=len(vocab), embed_dim=16, hidden_dim=16)
         model = mcs.McsModel.init(config, vocab, seed=0)
-        batch = mcs._prepare(model, examples[:8])
+        batch, _ = mcs._prepare(model, examples[:8])
 
         def peak(suspend):
             tracemalloc.start()
@@ -580,18 +591,30 @@ class TestTraining:
         last = np.mean([h["train_loss"] for h in result.history[-10:]])
         assert last <= 0.5 * first
 
-    def test_clipped_documents_train_and_warn_once_each(self, caplog):
-        examples = make_synthetic_corpus(4, seed=25, n_sentences=(6, 7),
+    def test_clipped_documents_train_and_are_counted(self, caplog):
+        examples = make_synthetic_corpus(5, seed=25, n_sentences=(3, 7),
                                          words_per_sentence=(3, 5))
+        examples[0] = Example(doc_of("w1 w2", "w3 w4"), ["w1", "w2"])   # within both limits
         model = tiny_model(Vocab.build(examples), seed=26, max_sentences=4, max_words=4)
         settings = mcs.TrainSettings(steps=6, batch_size=2, warmup=2, lr_scale=0.05,
-                                     seed=5, val_fraction=0.25, val_every=2)
-        with caplog.at_level("WARNING", logger="longspan.mcs"):
+                                     seed=5, val_fraction=0.2, val_every=2)
+        with caplog.at_level("DEBUG", logger="longspan"):
             result = mcs.train(model, examples, gamma=0.5, settings=settings)
         assert result.steps_run == 6
-        clipped = [r for r in caplog.records if "clipped" in r.getMessage()]
-        assert len(clipped) == len(examples)
-        assert {r.args[0] for r in clipped} == {ex.doc.id for ex in examples}
+        assert not caplog.records
+        docs = [ex.doc.sentences for ex in examples]
+        dropped = [max(len(doc) - 4, 0) for doc in docs]
+        cut = [sum(len(s) > 4 for s in doc[:4]) for doc in docs]
+        assert result.clipping == {
+            "clipped_documents": sum(d + c > 0 for d, c in zip(dropped, cut)),
+            "dropped_sentences": sum(dropped),
+            "cut_sentences": sum(cut),
+        }
+        assert 0 < result.clipping["clipped_documents"] < len(examples)
+        for (doc, _, labels), ex in zip(mcs._prepare(model, examples)[0], examples):
+            assert doc.sentences == [s[:4] for s in ex.doc.sentences[:4]]
+            np.testing.assert_array_equal(labels,
+                                          mcs.make_labels(ex.doc, ex.reference)[:4])
 
     def test_deterministic_under_seed(self):
         examples = make_synthetic_corpus(6, seed=24, n_sentences=(3, 4),

@@ -1,6 +1,7 @@
 """Whole-sequence GRU op, teacher forcing, batched losses and batched beam search against
 step-by-step and per-document oracles."""
 
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -479,11 +480,8 @@ def per_document_scores(model, doc):
         enc = model.encode(doc)
         z_hat = model.classifier_scores(enc.slot_states).data[0]
         beam = per_document_beam(model, enc)
-    tail = np.zeros(doc.n_sentences - enc.sent_mask.sum())
-    z_hat = np.concatenate([z_hat, tail])
-    attn_mass = np.concatenate([beam.mass, tail])
-    return mcs.McsScores(z_hat, attn_mass,
-                         mcs.rank_normalize(z_hat) + mcs.rank_normalize(attn_mass))
+    return mcs.McsScores(z_hat, beam.mass,
+                         mcs.rank_normalize(z_hat) + mcs.rank_normalize(beam.mass))
 
 
 @st.composite
@@ -575,6 +573,16 @@ class TestGroupBeam:
         for doc, scores in zip(docs, got):
             assert len(scores.fused) == doc.n_sentences
             assert_same_scores(scores, per_document_scores(model, doc))
+
+    @settings(max_examples=20, deadline=None)
+    @given(problem=beam_groups())
+    def test_scores_do_not_read_the_training_limits(self, problem):
+        model, docs, _ = problem
+        tightest = mcs.McsModel(dataclasses.replace(model.config, max_sentences=1, max_words=1),
+                                model.vocab, model.params)
+        for got, want in zip(tightest.inference_scores(*docs), model.inference_scores(*docs)):
+            assert got.z_hat.tolist() == want.z_hat.tolist()
+            assert got.attn_mass.tolist() == want.attn_mass.tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(problem=beam_groups(), data=st.data())
@@ -692,7 +700,7 @@ def loss_batches(draw):
                            sent_layers=draw(st.integers(1, 2)), dropout=0.0,
                            max_sentences=5, max_words=3, max_target=6)
     model = mcs.McsModel.init(config, vocab, seed=draw(st.integers(0, 10**6)))
-    # sentences may run past max_words, which clips them
+    # sentences may run past max_words: batch_loss encodes what it is given, uncut
     sentence = st.lists(st.sampled_from(WORDS + ["other"]), min_size=1, max_size=5)
     batch = []
     for _ in range(draw(st.integers(1, 4))):

@@ -16,8 +16,6 @@ in a benchmark run; a failed check ends the script with its message.
 """
 
 import argparse
-import logging
-import os
 import resource
 import statistics
 import sys
@@ -82,17 +80,11 @@ def main(argv=None) -> int:
         parser.error("--rounds must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="stage-faults-") as work_dir:
-        # the program logs a warning per clipped document; keep it off the terminal
-        handler = logging.FileHandler(os.path.join(work_dir, "program.log"))
-        logging.getLogger().addHandler(handler)
         try:
             setup_steps, per_round = measure(args.workload, args.seed, args.rounds, work_dir)
         except CheckFailed as exc:
             print(f"check failed: {exc}", file=sys.stderr)
             return 1
-        finally:
-            logging.getLogger().removeHandler(handler)
-            handler.close()
 
     print(f"{args.workload}, seed {args.seed}: {run.SETUPS} set-ups, then {args.rounds} rounds")
     print("set-up toy step faults: " + " ".join(str(f) for f, _ in setup_steps))
