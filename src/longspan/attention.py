@@ -10,7 +10,9 @@ cross-attention and decoder self-attention go through
 :func:`autodiff.dense_attention`, one op that keeps one [H x Nq x Nk]
 buffer per layer: the scores, softmaxed in place into the layer's map.
 :func:`build_local_mask` is the dense oracle the band is tested against;
-only :meth:`ToySeq2Seq.encoder_forward`'s maps expand a band to N x N.
+only :meth:`ToySeq2Seq.encoder_forward`'s maps expand a band to N x N, through
+:func:`autodiff.band_to_dense`: one strided copy of the rows whose band lies
+inside the sequence, and a slice for each of the h rows at either end.
 
 Encoder positions are a gather from the stored base table, tiled
 palindromically (copy, then flipped copy, alternating) to the input's

@@ -479,9 +479,11 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor
     one batched matmul each.  The scores go with a row stride of L into an
     [H x N' x L+1] buffer (N' = N rounded up to whole blocks) whose row i
     then holds query i's band, key i + s - h in slot s <= 2h, and after it
-    off-band slots only, so the softmax runs in place on its rows.  Off-band
-    and past-the-end slots are -inf before the row max, so their probability
-    is exactly 0.  No N x N array is formed; the buffer is ~(2h+b+1)/(2h+1) of the band.
+    off-band slots only, so the softmax runs in place on its rows.  One slice
+    sets every row's off-band slots to -inf; band slots past an end occur
+    only in the first h and the last h rows (the rim), which are masked in
+    place, so each blocked slot's probability is exactly 0.  No N x N array
+    is formed; the buffer is ~(2h+b+1)/(2h+1) of the band.
     As in :func:`dense_attention`, q is scaled by 1/sqrt(d_head) before the product.
 
     Records one op; returns the context [H x N x d_head] and the band
@@ -523,8 +525,11 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor
     buf = np.empty((n_heads, rows, width + 1))
     probs = block_view(buf)
     np.matmul(blocks(q.data * scale), window(padded(k.data)).swapaxes(-1, -2), out=probs)
-    i, s = np.arange(rows)[:, None], np.arange(width + 1)
-    _softmax_rows(buf, (s > 2 * h) | (s < h - i) | (s >= n + h - i))
+    buf[..., 2 * h + 1:] = -np.inf  # off-band slots, each block's unwritten ones included
+    s, i = np.arange(2 * h + 1), np.arange(rows)[:, None]  # the rim: band slots past an end
+    np.copyto(buf[:, :h, :2 * h + 1], -np.inf, where=s < h - i[:h])
+    np.copyto(buf[:, n - h:, :2 * h + 1], -np.inf, where=s >= n + h - i[n - h:])
+    _softmax_rows(buf, None)
     ctx = np.matmul(probs, window(padded(v.data))).reshape(n_heads, rows, d_head)[:, :n]
 
     def bwd(g):
@@ -542,14 +547,19 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, half: int) -> tuple[Tensor
 
 
 def band_to_dense(band: Array) -> Tensor:
-    """Scatter [H x N x 2h+1] band probabilities into an [H x N x N] map (zeros off-band)."""
+    """Expand [H x N x 2h+1] band probabilities into a C-contiguous [H x N x N] map, zeros
+    off-band.  Rows h .. N-h-1 hold their whole band, so one strided copy writes them: a view
+    of the map from row h, key 0 on, whose row stride is one row plus one element.  The first
+    and last h rows, whose bands reach past an end, are written a slice each."""
     n_heads, n, width = band.shape
-    flat = np.arange(0, n * n, n + 1)[:, None] + np.arange(width) - (width - 1) // 2
-    keys = flat - np.arange(0, n * n, n)[:, None]
-    flat[(keys < 0) | (keys >= n)] = n * n  # slots past either end land in a spare last entry
-    dense = np.zeros((n_heads, n * n + 1))
-    dense[:, flat] = band
-    return Tensor._wrap(dense[:, :-1].reshape(n_heads, n, n))
+    h, inner = (width - 1) // 2, max(n - width + 1, 0)
+    dense = np.zeros((n_heads, n, n))
+    s0, s1, s2 = dense.strides
+    as_strided(dense[:, h:], (n_heads, inner, width), (s0, s1 + s2, s2))[:] = band[:, h:h + inner]
+    for i in [*range(min(h, n)), *range(max(h, n - h), n)]:
+        lo, hi = max(i - h, 0), min(i + h + 1, n)
+        dense[:, i, lo:hi] = band[:, i, lo - i + h:hi - i + h]
+    return Tensor._wrap(dense)
 
 
 def log_softmax(x: Array) -> Array:

@@ -1,14 +1,17 @@
 """Banded attention against the dense masked oracle, by property and by memory."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from longspan import attention as attn
 from longspan import autodiff as ad
+from longspan.errors import DimensionError, DomainError
 
 from test_autodiff import finite_diff_grad
 
@@ -218,6 +221,19 @@ def test_full_attention_training_peaks_below_three_and_a_half_score_buffers():
     assert full < 3.5 * heads * n * n * 8, full / (heads * n * n * 8)
 
 
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def band_op_run(op, arrays, half):
+    """Context, band, and the q, k, v gradients of ``op`` under output gradient arrays[3]."""
+    qkv = [ad.parameter(x) for x in arrays[:3]]
+    with ad.Tape() as tape:
+        ctx, band = op(*qkv, half)
+        tape.backward(ad.tsum(ad.mul(ctx, ad.Tensor(arrays[3]))))
+    return [ctx.data, np.array(band)] + [t.grad for t in qkv]
+
+
 class NanEmpty:
     """numpy, except that ``empty`` and ``empty_like`` hand out NaN-filled arrays."""
 
@@ -234,22 +250,156 @@ class NanEmpty:
 
 
 @pytest.mark.parametrize("heads,n,d,half", [(1, 1, 1, 0), (2, 5, 3, 1), (3, 37, 4, 6),
-                                            (2, 64, 4, 16), (1, 100, 2, 33), (2, 9, 3, 20)])
+                                            (2, 64, 4, 16), (1, 100, 2, 33), (2, 9, 3, 20),
+                                            (2, 40, 3, 20), (3, 41, 2, 20)])
 def test_band_op_reads_no_unwritten_buffer_slot(monkeypatch, heads, n, d, half):
     """Every slot of the op's uninitialised buffers is written before it is read: with
     NaN-filled allocations the outputs and gradients stay finite and bitwise unchanged."""
     rng = np.random.default_rng(n)
     arrays = [rng.normal(size=(heads, n, d)) for _ in range(4)]
-
-    def run():
-        qkv = [ad.parameter(x) for x in arrays[:3]]
-        with ad.Tape() as tape:
-            ctx, band = ad.banded_attention(*qkv, half)
-            tape.backward(ad.tsum(ad.mul(ctx, ad.Tensor(arrays[3]))))
-        return [ctx.data, np.array(band)] + [t.grad for t in qkv]
-
-    default = run()
+    default = band_op_run(ad.banded_attention, arrays, half)
     monkeypatch.setattr(ad, "np", NanEmpty())
-    for got, want in zip(run(), default):
+    for got, want in zip(band_op_run(ad.banded_attention, arrays, half), default):
         assert np.isfinite(got).all()
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert same_bits(got, want)
+
+
+def parent_banded_attention(q, k, v, half):
+    """The band op before its forward masked only the rim, verbatim but for module
+    prefixes: the reference for its bits."""
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(f"banded_attention expects equal [H x N x d] q/k/v, got "
+                             f"{q.shape}, {k.shape}, {v.shape}")
+    if half < 0:
+        raise DomainError(f"band half-width must be >= 0, got {half}")
+    n_heads, n, d_head = q.shape
+    h = min(int(half), n - 1)
+    b = max(1, min(h, 1 << (h.bit_length() + 3) // 2))  # b <= h + 1: padded rows see key N - 1
+    rows, width, scale = -(-n // b) * b, b + 2 * h, 1.0 / math.sqrt(d_head)  # rows = N'
+
+    def blocks(x):  # [H x N x d] as [H x blocks x b x d], zero rows past N
+        x = x if rows == n else np.concatenate((x, np.zeros((n_heads, rows - n, d_head))), 1)
+        return x.reshape(n_heads, rows // b, b, d_head)
+
+    def block_view(buf):  # block i's row r, window slot c is buffer row i*b + r, slot c - r
+        (t0, t1, t2), shape = buf.strides, (n_heads, rows // b, b, width)
+        return as_strided(buf, shape, (t0, b * t1, t1 - t2, t2))
+
+    def padded(x):  # padded row p is key p - h
+        pad = np.zeros((n_heads, rows + 2 * h, d_head))
+        pad[:, h:h + n] = x
+        return pad
+
+    def window(pad):  # block i reads padded rows i*b .. i*b + L - 1
+        (s0, s1, s2), shape = pad.strides, (n_heads, rows // b, width, d_head)
+        return as_strided(pad, shape, (s0, b * s1, s1, s2))
+
+    def fold(window_grad):  # adjoint of window(padded(x)): add back b window slots at a time
+        pad = padded(0.0)
+        for j in range(0, width, b):
+            window(pad)[:, :, j:j + b] += window_grad[:, :, j:j + b]
+        return pad[:, h:h + n]
+
+    buf = np.empty((n_heads, rows, width + 1))
+    probs = block_view(buf)
+    np.matmul(blocks(q.data * scale), window(padded(k.data)).swapaxes(-1, -2), out=probs)
+    i, s = np.arange(rows)[:, None], np.arange(width + 1)
+    ad._softmax_rows(buf, (s > 2 * h) | (s < h - i) | (s >= n + h - i))
+    ctx = np.matmul(probs, window(padded(v.data))).reshape(n_heads, rows, d_head)[:, :n]
+
+    def bwd(g):
+        gb, dbuf = blocks(g), np.empty_like(buf)
+        dprobs = block_view(dbuf)
+        np.matmul(gb, window(padded(v.data)).swapaxes(-1, -2), out=dprobs)
+        dbuf[:, b - 1::b, 2 * h + 1:] = 0.0  # the one region the strided product leaves unwritten
+        dv = fold(np.matmul(probs.swapaxes(-1, -2), gb))
+        ad._softmax_rows_adjoint(buf, dbuf)  # d(scores)
+        dq = np.matmul(dprobs, window(padded(k.data)))
+        dk = fold(np.matmul(dprobs.swapaxes(-1, -2), blocks(q.data * scale)))
+        return dq.reshape(n_heads, rows, d_head)[:, :n] * scale, dk, dv
+
+    return ad._apply(ctx, (q, k, v), bwd), buf[:, :n, :2 * h + 1]
+
+
+def parent_band_to_dense(band):
+    """The fancy-index scatter ``ad.band_to_dense`` replaced, verbatim but for module
+    prefixes: the reference for its bits."""
+    n_heads, n, width = band.shape
+    flat = np.arange(0, n * n, n + 1)[:, None] + np.arange(width) - (width - 1) // 2
+    keys = flat - np.arange(0, n * n, n)[:, None]
+    flat[(keys < 0) | (keys >= n)] = n * n  # slots past either end land in a spare last entry
+    dense = np.zeros((n_heads, n * n + 1))
+    dense[:, flat] = band
+    return ad.Tensor._wrap(dense[:, :-1].reshape(n_heads, n, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_cases())
+@example((1, 1, 1, 0, 0))  # N = 1
+@example((2, 5, 3, 9, 1))  # half >= N: every row is a rim row
+@example((2, 40, 3, 20, 2))  # N = 2h, off a multiple of the block (16)
+@example((3, 41, 4, 20, 3))  # N = 2h + 1
+@example((1, 32, 2, 16, 4))  # N = 2h, whole blocks
+@example((2, 33, 5, 16, 5))  # N = 2h + 1
+@example((4, 97, 5, 0, 6))  # half = 0
+@example((2, 150, 3, 17, 7))  # N off a multiple of the block (16)
+def test_band_op_is_bitwise_its_parent(case):
+    """Masking only the rim leaves every bit of the band, the context and the gradients."""
+    heads, n, d, half, seed = case
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(heads, n, d)) for _ in range(4)]
+    got = band_op_run(ad.banded_attention, arrays, half)
+    want = band_op_run(parent_banded_attention, arrays, half)
+    for name, g, w in zip(("context", "band", "dq", "dk", "dv"), got, want):
+        assert same_bits(g, w), name
+
+
+@st.composite
+def dense_map_cases(draw):
+    """(H, N, half, from_op, seed); half spans 0 .. 2N + 2, so h = min(half, N - 1) is
+    often N - 1 and every row a rim row."""
+    n = draw(st.integers(1, 96))
+    return (draw(st.sampled_from([1, 2, 4])), n, draw(st.integers(0, 2 * n + 2)),
+            draw(st.booleans()), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_map_cases())
+@example((1, 1, 0, True, 0))  # N = 1
+@example((2, 1, 4, False, 1))
+@example((2, 5, 9, True, 2))  # half >= N: every row is a rim row
+@example((4, 6, 6, False, 3))
+@example((2, 32, 16, True, 4))  # N = 2h
+@example((1, 40, 20, False, 5))
+@example((2, 33, 16, True, 6))  # N = 2h + 1
+@example((4, 41, 20, False, 7))
+def test_band_to_dense_is_bitwise_its_parent(case):
+    """The strided copy and the rim's slices write the map the scatter wrote, C-contiguous."""
+    heads, n, half, from_op, seed = case
+    rng = np.random.default_rng(seed)
+    h = min(half, n - 1)
+    if from_op:
+        _, band = ad.banded_attention(*(ad.Tensor(rng.normal(size=(heads, n, 3)))
+                                        for _ in range(3)), half)
+    else:  # random values, zeros in the slots past either end
+        keys = np.arange(n)[:, None] + np.arange(2 * h + 1) - h
+        band = np.where((keys >= 0) & (keys < n), rng.random((heads, n, 2 * h + 1)), 0.0)
+    dense = ad.band_to_dense(band).data
+    assert dense.shape == (heads, n, n) and dense.flags.c_contiguous
+    assert same_bits(dense, parent_band_to_dense(band).data)
+
+
+def test_an_all_rim_band_forward_copies_no_buffer():
+    """With half >= N every row is a rim row; the forward masks them in place, so its
+    peak stays below 1.5x the op's buffer (a copy of the rim rows would reach ~2x)."""
+    rng = np.random.default_rng(0)
+    q, k, v = (ad.Tensor(rng.normal(size=(4, 256, 8))) for _ in range(3))
+    tracemalloc.start()
+    try:
+        _, band = ad.banded_attention(q, k, v, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = band.base.nbytes  # the band is a view of the op's one buffer
+    assert band.shape == (4, 256, 511) and buffer >= band.nbytes
+    assert peak < 1.5 * buffer, peak / buffer

@@ -105,7 +105,8 @@ def test_pairs_refuse_what_a_summary_refuses():
 
 
 # A stand-in for perfbench/run.py: its metrics follow the seed and the checkout's
-# speed.txt, and every call is logged, so the pair order can be read back.
+# speed.txt, and every call is logged with whether its checkout has a .git, so the
+# pair order and where each side ran can be read back.
 STUB_RUN = """
 import argparse, json, os, pathlib
 parser = argparse.ArgumentParser()
@@ -115,7 +116,8 @@ args = parser.parse_args()
 root = pathlib.Path(__file__).resolve().parent.parent
 speed, seed = float((root / "speed.txt").read_text()), int(args.seed)
 with open(os.environ["STUB_LOG"], "a") as log:
-    log.write(f"{speed} {args.workload} {seed} {args.seconds} {args.trace}\\n")
+    log.write(f"{speed} {args.workload} {seed} {args.seconds} {args.trace} "
+              f"git={(root / '.git').exists()}\\n")
 value = seed * speed if seed % 2 else seed / speed
 environment = {"nproc": 2}
 if os.environ.get("STUB_ENV_FOLLOWS_SPEED"):
@@ -155,23 +157,30 @@ def pair_repo(tmp_path):
     return repo, git
 
 
+def assert_base_left_no_trace(repo, tmp_path, git):
+    """No worktree is registered in the repository, and the extracted base is gone."""
+    assert git("worktree", "list").count("\n") == 1
+    assert not list((tmp_path / "tmp").iterdir())
+
+
 def run_pairs(repo, tmp_path, *args, **env):
-    log = tmp_path / "calls.log"
+    log, temp = tmp_path / "calls.log", tmp_path / "tmp"  # the base is extracted under temp
+    temp.mkdir()
     done = subprocess.run([sys.executable, "tools/bench_summary.py", "--against", "HEAD~1",
                            *args], cwd=repo, capture_output=True, text=True,
-                          env={**os.environ, "STUB_LOG": str(log), **env})
+                          env={**os.environ, "STUB_LOG": str(log), "TMPDIR": str(temp), **env})
     calls = log.read_text().splitlines() if log.exists() else []
     return done, calls
 
 
-def test_against_runs_alternating_pairs_in_a_worktree_of_the_base(pair_repo, tmp_path):
+def test_against_runs_alternating_pairs_in_an_archive_of_the_base(pair_repo, tmp_path):
     repo, git = pair_repo
     (repo / "BENCH_2.json").write_text("{}")
     done, calls = run_pairs(repo, tmp_path, "--pairs", "4", "--workloads", "oracle", "selector")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == str((repo / "BENCH_3.json").resolve())
     order = [("1.0", "2.0"), ("2.0", "1.0")] * 2
-    assert calls == [f"{speed} {workload} {seed} 30 0"
+    assert calls == [f"{speed} {workload} {seed} 30 0 git={speed == '2.0'}"
                      for seed, sides in zip(bench.PAIR_SEEDS, order)
                      for workload in ("oracle", "selector") for speed in sides]
     record = json.loads((repo / "BENCH_3.json").read_text())
@@ -191,7 +200,7 @@ def test_against_runs_alternating_pairs_in_a_worktree_of_the_base(pair_repo, tmp
     assert (rouge["wins"], rouge["base_median"], rouge["change_median"]) == (2, 202.5, 252.0)
     assert rouge["base_iqr"] == 1.5
     assert orc["metrics"]["setup_s"]["wins"] == 4
-    assert git("worktree", "list").count("\n") == 1  # the base's worktree is gone
+    assert_base_left_no_trace(repo, tmp_path, git)
 
 
 @pytest.mark.parametrize("env,reason", [({"STUB_INCORRECT": "1.0"}, "ended correct=False"),
@@ -202,7 +211,7 @@ def test_against_refuses_and_writes_nothing(pair_repo, tmp_path, env, reason):
     assert done.returncode == 1 and len(calls) == 4
     assert done.stderr.splitlines()[-1].startswith("refused: ") and reason in done.stderr
     assert not list(repo.glob("BENCH_*.json"))
-    assert git("worktree", "list").count("\n") == 1
+    assert_base_left_no_trace(repo, tmp_path, git)
 
 
 def test_revision_names_the_uncommitted_diff_it_measured(tmp_path):

@@ -18,10 +18,12 @@ quartiles of the eight end-to-end metrics with ``correct`` and the summed
 ``failed``.
 
 With ``--against REV`` it measures this checkout (the change) against ``REV``
-(the base), which it checks out in a temporary ``git worktree``.  Pair i runs
-the same command on seed ``PAIR_SEEDS[i]`` in both checkouts, base first when
-i is even and change first when it is odd, so a drift of the machine falls on
-both sides alike.  Per workload and end-to-end metric the file holds each
+(the base), whose tracked files it extracts with ``git archive`` into a
+temporary directory: it writes nothing into the repository's ``.git``, and a
+killed run leaves no worktree registered there.  Pair i runs the same command
+on seed ``PAIR_SEEDS[i]`` in both checkouts, base first when i is even and
+change first when it is odd, so a drift of the machine falls on both sides
+alike.  Per workload and end-to-end metric the file holds each
 pair's [base, change] values, the change's number of wins (by the metric's
 ``better`` in ``BENCHMARK.json``), both medians and the base's interquartile
 range.  Either mode refuses, writing nothing, when a run ended
@@ -31,10 +33,12 @@ range.  Either mode refuses, writing nothing, when a run ended
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -139,15 +143,12 @@ def revision(root: Path) -> dict:
 
 
 @contextlib.contextmanager
-def worktree(root: Path, rev: str):
-    """``rev`` checked out (detached) in a temporary worktree of ``root``'s repository."""
+def archive(root: Path, rev: str):
+    """A temporary directory holding ``rev``'s tracked files, extracted from ``git archive``."""
     with tempfile.TemporaryDirectory(prefix="bench-base-") as scratch:
-        path = Path(scratch) / "base"
-        git(root, "worktree", "add", "--detach", str(path), rev)
-        try:
-            yield path
-        finally:
-            git(root, "worktree", "remove", "--force", str(path))
+        with tarfile.open(fileobj=io.BytesIO(git(root, "archive", "--format=tar", rev))) as tar:
+            tar.extractall(scratch, filter="data")
+        yield Path(scratch)
 
 
 def next_path(root: Path) -> Path:
@@ -172,7 +173,7 @@ def paired(against: str, workloads, n_pairs: int) -> dict:
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     commands, pairs = [], []
-    with worktree(ROOT, base_rev) as base_root:
+    with archive(ROOT, base_rev) as base_root:
         for i, seed in enumerate(PAIR_SEEDS[:n_pairs]):
             sides = (("base", base_root), ("change", ROOT))[:: 1 if i % 2 == 0 else -1]
             for workload in workloads:
